@@ -5,16 +5,20 @@ checkers historically threw all exploration work away between runs:
 ``check_safety``, ``find_state``, NDFS, fairness, and every resilience
 scenario re-walked the state space from scratch, rebuilding every
 :class:`~repro.psl.interp.Transition` per visit.  This module makes the
-state space itself a reusable artifact:
+state space itself a reusable artifact, laid out to keep the kept
+graph small (~300 B per state):
 
 * :class:`StateStore` — interns :class:`~repro.psl.state.State` tuples
-  to dense integer ids.  A state's (expensive) deep-tuple hash is
-  computed once, at interning time; every downstream structure — BFS
-  frontiers, parent maps, NDFS color sets, POR stacks — then keys on
-  small ints whose hashes are free.
-* :class:`TransitionCache` — memoizes the transition relation.  The
-  interpreter runs once per distinct state; repeat visits (and repeat
-  *checks*) get the compact :class:`CachedTransition` tuples back.
+  to dense integer ids.  Each state is one object, used both as the id
+  map's key and as the id-indexed list entry.  A state's (expensive)
+  deep-tuple hash is computed once, at interning time; every downstream
+  structure — BFS frontiers, parent maps, NDFS color sets, POR stacks —
+  then keys on small ints whose hashes are free.
+* :class:`TransitionCache` — memoizes the transition relation as two
+  sid-indexed *rows* per expanded state: a tuple of labels and a tuple
+  of target ids, in the interpreter's order.  The rare violating
+  transitions (failed assertions) live in a side table keyed by state
+  and edge index, so the rows carry no per-edge violation slot.
 * :class:`StateGraph` — the façade the checkers share.  Build one per
   system, pass it to as many checkers as you like: checking N
   properties or N fault phases on the same architecture pays the
@@ -26,7 +30,9 @@ builds a private graph, so single-shot calls behave exactly as before.
 Transition order is the interpreter's deterministic order, which is why
 cached and uncached runs produce identical verdicts, shortest
 counterexamples, and statistics (see
-``tests/mc/test_engine_equivalence.py``).
+``tests/mc/test_engine_equivalence.py``).  It is also why a BFS parent
+map needs no labels: the edge that discovered a state is the first edge
+in its parent's row that targets it (:meth:`TransitionCache.label_of`).
 """
 
 from __future__ import annotations
@@ -74,57 +80,137 @@ class StateStore:
 
 
 class CachedTransition(NamedTuple):
-    """One memoized transition: like ``Transition`` but with an int target."""
+    """One memoized transition: like ``Transition`` but with an int target.
+
+    The cache stores rows, not these; :meth:`TransitionCache.transitions`
+    builds them on demand for tests and external callers.
+    """
 
     label: TransitionLabel
     target: int
     violation: Optional[str]
 
 
+#: A memoized successor row: labels and target ids, edge for edge.
+Row = Tuple[Tuple[TransitionLabel, ...], Tuple[int, ...]]
+
+
 class TransitionCache:
     """Memoizes ``Interpreter.transitions`` over interned state ids.
 
-    Successor lists are computed at most once per distinct state, in the
+    Successor rows are computed at most once per distinct state, in the
     interpreter's deterministic order, with targets interned into the
-    shared :class:`StateStore`.
+    shared :class:`StateStore`.  ``labels[sid]`` and ``targets[sid]``
+    hold the row of an expanded state (``None``, or past the end of the
+    list, until then); ``violations[sid]`` maps the edge index of each
+    violating transition to its message, for the few rows that have one.
     """
 
-    __slots__ = ("interp", "store", "_succ", "_drive", "misses")
+    __slots__ = ("interp", "store", "labels", "targets", "violations",
+                 "_out", "_pending", "_drive", "misses")
 
     def __init__(self, interp: Interpreter, store: StateStore) -> None:
         self.interp = interp
         self.store = store
-        self._succ: Dict[int, Tuple[CachedTransition, ...]] = {}
+        self.labels: List[Optional[Tuple[TransitionLabel, ...]]] = []
+        self.targets: List[Optional[Tuple[int, ...]]] = []
+        self.violations: Dict[int, Dict[int, str]] = {}
         #: Number of distinct states actually expanded by the interpreter.
         self.misses = 0
         # A compiled interpreter provides a fused driver that interns
-        # targets and emits CachedTransition directly, skipping the
-        # wrap-and-intern second pass below.
+        # targets itself and appends them to ``_out`` (and any violation
+        # to ``_pending``) while returning the labels.
+        self._out: List[int] = []
+        self._pending: List[Tuple[int, str]] = []
         bind_engine = getattr(interp, "bind_engine", None)
-        self._drive = None if bind_engine is None else bind_engine(store)
+        self._drive = None if bind_engine is None else bind_engine(
+            store, self._out.append, self._pending.append)
+
+    def expand(self, sid: int) -> Tuple[int, ...]:
+        """Compute and memoize *sid*'s row; return its targets."""
+        state = self.store._states[sid]
+        violations = None
+        if self._drive is not None:
+            out, pending = self._out, self._pending
+            try:
+                labels = tuple(self._drive(state))
+                targets = tuple(out)
+                if pending:
+                    violations = dict(pending)
+            finally:
+                # Also after a model error part-way through the row, so
+                # the next expansion starts from empty lists.
+                out.clear()
+                pending.clear()
+        else:
+            transitions = self.interp.transitions(state)
+            labels = tuple([t.label for t in transitions])
+            intern = self.store.intern
+            targets = tuple([intern(t.target) for t in transitions])
+            violations = {i: t.violation for i, t in enumerate(transitions)
+                          if t.violation}
+        self.record(sid, labels, targets, violations)
+        return targets
+
+    def record(self, sid: int, labels: Tuple[TransitionLabel, ...],
+               targets: Tuple[int, ...],
+               violations: Optional[Dict[int, str]] = None) -> None:
+        """Store an expanded row (``violations``: edge index -> message)."""
+        rows = self.targets
+        if sid == len(rows):
+            rows.append(targets)
+            self.labels.append(labels)
+        else:
+            if sid > len(rows):
+                pad = [None] * (sid - len(rows) + 1)
+                rows.extend(pad)
+                self.labels.extend(pad)
+            rows[sid] = targets
+            self.labels[sid] = labels
+        if violations:
+            self.violations[sid] = violations
+        self.misses += 1
+
+    def successors(self, sid: int) -> Tuple[int, ...]:
+        """The target ids of *sid*'s row, expanding it on first use."""
+        rows = self.targets
+        if sid < len(rows):
+            targets = rows[sid]
+            if targets is not None:
+                return targets
+        return self.expand(sid)
+
+    def row(self, sid: int) -> Row:
+        """``(labels, targets)`` of *sid*, expanding it on first use."""
+        targets = self.successors(sid)
+        return self.labels[sid], targets
+
+    def is_expanded(self, sid: int) -> bool:
+        return sid < len(self.targets) and self.targets[sid] is not None
+
+    def label_of(self, src: int, dst: int) -> TransitionLabel:
+        """The label of the first edge of *src*'s row that targets *dst*.
+
+        In a breadth-first walk that edge is the one that discovered
+        *dst*, so a parent map of bare ids rebuilds traces exactly.
+        """
+        return self.labels[src][self.targets[src].index(dst)]
 
     def transitions(self, sid: int) -> Tuple[CachedTransition, ...]:
-        cached = self._succ.get(sid)
-        if cached is None:
-            if self._drive is not None:
-                cached = tuple(self._drive(self.store.state(sid)))
-            else:
-                intern = self.store.intern
-                cached = tuple([
-                    CachedTransition(label, intern(target), violation)
-                    for label, target, violation
-                    in self.interp.transitions(self.store.state(sid))
-                ])
-            self._succ[sid] = cached
-            self.misses += 1
-        return cached
+        """*sid*'s row as :class:`CachedTransition` tuples (built per call)."""
+        labels, targets = self.row(sid)
+        violations = self.violations.get(sid, {})
+        return tuple([
+            CachedTransition(label, target, violations.get(i))
+            for i, (label, target) in enumerate(zip(labels, targets))
+        ])
 
     def peek(self, sid: int) -> Optional[Tuple[CachedTransition, ...]]:
         """The cached successor list, or ``None`` without computing it."""
-        return self._succ.get(sid)
+        return self.transitions(sid) if self.is_expanded(sid) else None
 
     def __len__(self) -> int:
-        return len(self._succ)
+        return self.misses
 
 
 class StateGraph:
@@ -132,9 +218,10 @@ class StateGraph:
 
     Wraps an :class:`~repro.psl.interp.Interpreter` with a
     :class:`StateStore` and a :class:`TransitionCache`.  The graph is a
-    *cache*, not a snapshot: checkers pull transitions through
-    :meth:`transitions` and the first checker to visit a state pays for
-    it; later checkers (or later visits) get memoized results.  Budgeted
+    *cache*, not a snapshot: checkers pull successor rows through
+    :meth:`successors` and :meth:`row` and the first checker to visit a
+    state pays for it; later checkers (or later visits) get memoized
+    results.  Budgeted
     runs therefore stay budgeted — nothing is explored eagerly.
     """
 
@@ -163,8 +250,11 @@ class StateGraph:
     def transitions(self, sid: int) -> Tuple[CachedTransition, ...]:
         return self.cache.transitions(sid)
 
-    def successors(self, sid: int) -> List[int]:
-        return [t.target for t in self.cache.transitions(sid)]
+    def successors(self, sid: int) -> Tuple[int, ...]:
+        return self.cache.successors(sid)
+
+    def row(self, sid: int) -> Row:
+        return self.cache.row(sid)
 
     def is_valid_end_state(self, sid: int) -> bool:
         return self.interp.is_valid_end_state(self.store.state(sid))
@@ -227,19 +317,20 @@ class StateGraph:
                 obs.finish(ok=True, stats=stats)
             return len(self.store)
 
+        successors = self.cache.successors
         while queue:
             sid = queue.pop()
-            transitions = self.cache.transitions(sid)
+            targets = successors(sid)
             expanded += 1
-            ntrans += len(transitions)
+            ntrans += len(targets)
             if obs is not None:
                 obs.tick(len(self.store), expanded, ntrans, len(queue))
-            for t in transitions:
-                if t.target not in seen:
-                    seen.add(t.target)
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
                     if max_states is not None and len(seen) >= max_states:
                         return done()
-                    queue.append(t.target)
+                    queue.append(target)
         return done()
 
 

@@ -35,14 +35,16 @@ from __future__ import annotations
 import gc
 import sys
 import time
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..obs.events import RunInstrument
 from ..obs.reporters import Reporter
-from ..psl.interp import Interpreter, TransitionLabel
+from ..psl.interp import Interpreter
 from ..psl.state import State
 from ..psl.system import System
 from .budget import (  # noqa: F401  (re-exported for backward compatibility)
@@ -90,21 +92,32 @@ class SafetyReport:
 def _gc_paused():
     """Pause the cyclic GC for the duration of a dense cold walk.
 
-    States and transitions are immutable tuples — acyclic by
-    construction — so plain reference counting reclaims every dropped
-    object; all the cyclic collector does during a walk is repeatedly
-    re-scan the steadily growing retained graph (measured at ~30% of a
-    cold sweep on the gas-station workload).  Collection resumes as
-    soon as the walk finishes, so user predicates that do build cycles
-    are still reclaimed — just after the sweep instead of during it.
+    States and memo rows are immutable tuples — acyclic by construction
+    — so plain reference counting reclaims every dropped object; all the
+    cyclic collector does during a walk is repeatedly re-scan the
+    steadily growing retained graph (measured at ~30% of a cold sweep
+    on the gas-station workload).  On exit the walk's survivors are
+    moved straight into the oldest generation (``gc.freeze`` then
+    ``gc.unfreeze``, both O(1)) before collection resumes: re-enabled
+    with them still young, the first young collection after a
+    million-state walk would traverse every one of them (seconds, billed
+    to whatever runs next).  Full collections still visit the oldest
+    generation, so user predicates that do build cycles are still
+    reclaimed — just after the sweep instead of during it.  If the
+    caller has frozen objects itself (say, before forking), the
+    promotion is skipped: ``gc.unfreeze`` would thaw those too.
     """
     was_enabled = gc.isenabled()
+    promote = gc.get_freeze_count() == 0
     if was_enabled:
         gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if promote:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -117,21 +130,41 @@ def _sample_frontier(stats: Statistics, queue: "deque[int]") -> None:
         stats.peak_frontier_bytes = size
 
 
+#: Parent-map slot of a state not yet discovered.
+_UNSEEN = -1
+
+
+def _grow(parents: "array[int]", n: int) -> None:
+    """Extend a parent map to cover state ids below *n* (as unseen)."""
+    if len(parents) < n:
+        parents.extend(repeat(_UNSEEN, n - len(parents)))
+
+
 def _rebuild_trace(
     graph: StateGraph,
     initial: int,
     violating: int,
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]],
+    parents: Sequence[int],
     extra: Optional[TraceStep] = None,
 ) -> Trace:
+    """The BFS path to *violating*, from a map of parent state ids.
+
+    Each step's label is the first edge of the parent's memoized row
+    that targets the child — the edge the breadth-first walk discovered
+    the child through — so the trace matches the walk label for label.
+    """
+    path: List[int] = []
+    cur = violating
+    while cur != initial:
+        path.append(cur)
+        cur = parents[cur]
+    path.reverse()
+    label_of = graph.cache.label_of
     steps: List[TraceStep] = []
-    cur: Optional[int] = violating
-    while cur is not None and cur != initial:
-        prev, label = parents[cur]
-        assert label is not None
-        steps.append(TraceStep(label, graph.state(cur)))
-        cur = prev
-    steps.reverse()
+    prev = initial
+    for cur in path:
+        steps.append(TraceStep(label_of(prev, cur), graph.state(cur)))
+        prev = cur
     if extra is not None:
         steps.append(extra)
     return Trace(initial=graph.state(initial), steps=steps)
@@ -224,9 +257,6 @@ def sweep_safety(
         max_seconds=max_seconds, started_at=start)
 
     initial = graph.initial_id
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]] = {
-        initial: (None, None)
-    }
     queue: deque[int] = deque([initial])
     stats = Statistics(states_stored=1, max_frontier=1)
     stats.apply_compile_stats(graph.compile_stats)
@@ -287,17 +317,17 @@ def sweep_safety(
                 stats.elapsed_seconds = time.perf_counter() - start
                 return done()
 
-    # Hot-loop bindings: the BFS below visits every cached transition of
+    # Hot-loop bindings: the BFS below visits every memoized edge of
     # every reachable state, so attribute lookups and delegation frames
-    # (graph.transitions -> cache.transitions -> dict.get) are hoisted
-    # out of the loop, and the compiled driver (when present) is called
-    # directly on a cache miss instead of through the cache's method.
+    # are hoisted out of the loop and the memo rows are read directly.
     # ``unbounded`` budgets skip the per-state poll entirely —
-    # ``Budget.exceeded`` can never fire without limits.
+    # ``Budget.exceeded`` can never fire without limits.  Parent maps
+    # hold bare state ids; traces recover labels from the memo rows
+    # (see :func:`_rebuild_trace`).
     cache = graph.cache
-    cached_succ = cache._succ
-    compute_transitions = cache.transitions
-    drive = cache._drive
+    expand = cache.expand
+    rows = cache.targets
+    violations = cache.violations
     store_states = graph.store._states
     state_of = graph.store.state
     unbounded = budget.unbounded
@@ -305,63 +335,65 @@ def sweep_safety(
     popleft = queue.popleft
     push = queue.append
 
+    def assertion(sid: int, index: int, message: str) -> bool:
+        labels, targets = graph.row(sid)
+        step = TraceStep(labels[index], state_of(targets[index]))
+        trace = _rebuild_trace(graph, initial, sid, parents, extra=step)
+        return fail(VIOLATION_ASSERTION, message, trace)
+
+    def deadlock(sid: int) -> bool:
+        blocked = ", ".join(i.name for i in graph.blocked_processes(sid))
+        return fail(
+            VIOLATION_DEADLOCK,
+            f"invalid end state (deadlock); blocked processes: {blocked}",
+            _rebuild_trace(graph, initial, sid, parents),
+        )
+
+    def violates_invariant(target: int) -> bool:
+        for p, fn in inv_fns:
+            if not fn(StateView(system, state_of(target))):
+                trace = _rebuild_trace(graph, initial, target, parents)
+                if fail(VIOLATION_INVARIANT,
+                        f"invariant {p.name!r} violated", trace):
+                    return True
+        return False
+
     # Dense cold walk: on a *cold* store with a compiled driver, BFS
     # discovery order is exactly interning order — every newly seen
     # target receives the next dense id — so the frontier is the
     # integer range [expanded, stored), "is this target new?" is a
     # single integer comparison, and the parent map is an append-only
-    # list.  The deque and the per-target dict probes disappear.
+    # array.  The deque and the per-target probes disappear.
     # Verdicts, traces, and statistics are identical to the general
     # loop below (the differential and cold≡warm suites pin this); the
     # general loop remains the only path for warm graphs (whose
     # interning order may stem from another checker's visit order),
     # budgeted runs, and instrumented runs.
-    if (drive is not None and obs is None and unbounded
-            and len(store_states) == 1 and not cached_succ):
-        dense_parents: List[Tuple[Optional[int], Optional[TransitionLabel]]] \
-            = [(None, None)]
-        parents = dense_parents  # type: ignore[assignment]
-        append_parent = dense_parents.append
+    if (cache._drive is not None and obs is None and unbounded
+            and len(store_states) == 1 and not len(cache)):
+        parents = array("q", [initial])
+        append_parent = parents.append
         sid = 0
         with _gc_paused():
             while sid < n_stored:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-                n_trans += len(transitions)
+                targets = expand(sid)
+                n_trans += len(targets)
                 n_expanded += 1
-                if not transitions and check_deadlock \
-                        and not graph.is_valid_end_state(sid):
-                    blocked = ", ".join(
-                        i.name for i in graph.blocked_processes(sid))
-                    if fail(
-                        VIOLATION_DEADLOCK,
-                        f"invalid end state (deadlock); "
-                        f"blocked processes: {blocked}",
-                        _rebuild_trace(graph, initial, sid, parents),
-                    ):
+                if not targets and check_deadlock \
+                        and not graph.is_valid_end_state(sid) \
+                        and deadlock(sid):
+                    return done()
+                viol = (violations.get(sid)
+                        if violations and check_assertions else None)
+                for i, target in enumerate(targets):
+                    if viol is not None and i in viol \
+                            and assertion(sid, i, viol[i]):
                         return done()
-                for t in transitions:
-                    if check_assertions and t.violation:
-                        trace = _rebuild_trace(
-                            graph, initial, sid, parents,
-                            extra=TraceStep(t.label, state_of(t.target)),
-                        )
-                        if fail(VIOLATION_ASSERTION, t.violation, trace):
-                            return done()
-                    target = t.target
                     if target >= n_stored:
-                        append_parent((sid, t.label))
+                        append_parent(sid)
                         n_stored += 1
-                        for p, fn in inv_fns:
-                            if not fn(StateView(system, state_of(target))):
-                                trace = _rebuild_trace(
-                                    graph, initial, target, parents)
-                                if fail(
-                                    VIOLATION_INVARIANT,
-                                    f"invariant {p.name!r} violated",
-                                    trace,
-                                ):
-                                    return done()
+                        if inv_fns and violates_invariant(target):
+                            return done()
                 frontier = n_stored - sid - 1
                 if frontier > max_frontier:
                     max_frontier = frontier
@@ -371,6 +403,8 @@ def sweep_safety(
         stats.elapsed_seconds = time.perf_counter() - start
         return done()
 
+    parents = array("q", repeat(_UNSEEN, len(store_states)))
+    parents[initial] = initial
     exhausted: Optional[str] = None
     while queue:
         # Check the budget *before* popping: an exhausted budget must not
@@ -382,55 +416,37 @@ def sweep_safety(
             if exhausted is not None:
                 break
         sid = popleft()
-        transitions = cached_succ.get(sid)
-        if transitions is None:
-            if drive is not None:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-            else:
-                transitions = compute_transitions(sid)
-        n_trans += len(transitions)
+        targets = rows[sid] if sid < len(rows) else None
+        if targets is None:
+            targets = expand(sid)
+            _grow(parents, len(store_states))
+        n_trans += len(targets)
         n_expanded += 1
         if obs is not None:
             flush()
             obs.tick(n_stored, n_expanded, n_trans, len(queue))
 
-        if not transitions and check_deadlock and not graph.is_valid_end_state(sid):
-            blocked = ", ".join(i.name for i in graph.blocked_processes(sid))
-            if fail(
-                VIOLATION_DEADLOCK,
-                f"invalid end state (deadlock); blocked processes: {blocked}",
-                _rebuild_trace(graph, initial, sid, parents),
-            ):
-                return done()
+        if not targets and check_deadlock \
+                and not graph.is_valid_end_state(sid) and deadlock(sid):
+            return done()
 
-        for t in transitions:
-            if check_assertions and t.violation:
-                trace = _rebuild_trace(
-                    graph, initial, sid, parents,
-                    extra=TraceStep(t.label, state_of(t.target)),
-                )
-                if fail(VIOLATION_ASSERTION, t.violation, trace):
-                    return done()
-            target = t.target
-            if target in parents:
+        viol = violations.get(sid) if violations and check_assertions \
+            else None
+        for i, target in enumerate(targets):
+            if viol is not None and i in viol \
+                    and assertion(sid, i, viol[i]):
+                return done()
+            if parents[target] != _UNSEEN:
                 continue
-            parents[target] = (sid, t.label)
+            parents[target] = sid
             n_stored += 1
             if not unbounded:
                 flush()
                 exhausted = budget.exceeded(n_stored)
                 if exhausted is not None:
                     break
-            for p, fn in inv_fns:
-                if not fn(StateView(system, state_of(target))):
-                    trace = _rebuild_trace(graph, initial, target, parents)
-                    if fail(
-                        VIOLATION_INVARIANT,
-                        f"invariant {p.name!r} violated",
-                        trace,
-                    ):
-                        return done()
+            if inv_fns and violates_invariant(target):
+                return done()
             push(target)
             if len(queue) > max_frontier:
                 max_frontier = len(queue)
@@ -474,9 +490,8 @@ def count_states(
     stats.apply_compile_stats(graph.compile_stats)
     _sample_frontier(stats, queue)
     cache = graph.cache
-    cached_succ = cache._succ
-    compute_transitions = cache.transitions
-    drive = cache._drive
+    expand = cache.expand
+    rows = cache.targets
     store_states = graph.store._states
     unbounded = budget.unbounded
     popleft = queue.popleft
@@ -490,15 +505,13 @@ def count_states(
     # Dense cold walk (see sweep_safety): on a cold store BFS discovery
     # order is interning order, so counting needs no seen-set at all —
     # the stored count *is* the store's length.
-    if (drive is not None and obs is None and unbounded
-            and len(store_states) == 1 and not cached_succ):
+    if (cache._drive is not None and obs is None and unbounded
+            and len(store_states) == 1 and not len(cache)):
         sid = 0
         with _gc_paused():
             while sid < len(store_states):
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
+                n_trans += len(expand(sid))
                 n_expanded += 1
-                n_trans += len(transitions)
                 frontier = len(store_states) - sid - 1
                 if frontier > max_frontier:
                     max_frontier = frontier
@@ -516,19 +529,14 @@ def count_states(
     exhausted: Optional[str] = None
     while queue and exhausted is None:
         sid = popleft()
-        transitions = cached_succ.get(sid)
-        if transitions is None:
-            if drive is not None:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-            else:
-                transitions = compute_transitions(sid)
+        targets = rows[sid] if sid < len(rows) else None
+        if targets is None:
+            targets = expand(sid)
         n_expanded += 1
         if obs is not None:
             obs.tick(n_stored, n_expanded, n_trans, len(queue))
-        for t in transitions:
+        for target in targets:
             n_trans += 1
-            target = t.target
             if target not in seen:
                 seen_add(target)
                 n_stored += 1
@@ -574,12 +582,12 @@ def reachable_states(
     queue: deque[int] = deque([initial])
     while queue:
         sid = queue.popleft()
-        for t in graph.transitions(sid):
-            if t.target not in seen:
-                seen.add(t.target)
-                order.append(t.target)
+        for target in graph.successors(sid):
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
                 budget.exceeded(len(seen))
-                queue.append(t.target)
+                queue.append(target)
     return [graph.state(sid) for sid in order]
 
 
@@ -613,15 +621,13 @@ def find_state(
         if obs is not None:
             obs.finish(ok=True, stats=Statistics(states_stored=1))
         return Trace(initial=graph.state(initial))
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]] = {
-        initial: (None, None)
-    }
     queue: deque[int] = deque([initial])
     expanded = 0
+    stored = 1
 
     def found(trace: Optional[Trace]) -> Optional[Trace]:
         if obs is not None:
-            stats = Statistics(states_stored=len(parents),
+            stats = Statistics(states_stored=stored,
                                states_expanded=expanded)
             stats.apply_compile_stats(graph.compile_stats)
             stats.elapsed_seconds = time.perf_counter() - budget.started_at
@@ -629,62 +635,55 @@ def find_state(
         return trace
 
     cache = graph.cache
-    cached_succ = cache._succ
-    compute_transitions = cache.transitions
-    drive = cache._drive
+    expand = cache.expand
+    rows = cache.targets
     store_states = graph.store._states
     state_of = graph.store.state
     unbounded = budget.unbounded
     pred_fn = predicate.fn
 
     # Dense cold walk (see sweep_safety): discovery order == interning
-    # order on a cold store, so the frontier is an integer range and
-    # the parent map an append-only list.
-    if (drive is not None and obs is None and unbounded
-            and len(store_states) == 1 and not cached_succ):
-        dense_parents: List[Tuple[Optional[int], Optional[TransitionLabel]]] \
-            = [(None, None)]
-        parents = dense_parents  # type: ignore[assignment]
-        append_parent = dense_parents.append
-        n_parents = 1
+    # order on a cold store, so the frontier is an integer range, the
+    # states an expansion interned are exactly its new targets, and the
+    # parent map is an append-only array.
+    if (cache._drive is not None and obs is None and unbounded
+            and len(store_states) == 1 and not len(cache)):
+        parents = array("q", [initial])
+        append_parent = parents.append
         sid = 0
         with _gc_paused():
-            while sid < n_parents:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
+            while sid < stored:
+                expand(sid)
                 expanded += 1
-                for t in transitions:
-                    target = t.target
-                    if target >= n_parents:
-                        append_parent((sid, t.label))
-                        n_parents += 1
-                        if pred_fn(StateView(system, state_of(target))):
-                            return found(
-                                _rebuild_trace(graph, initial, target, parents))
+                for target in range(stored, len(store_states)):
+                    append_parent(sid)
+                    stored += 1
+                    if pred_fn(StateView(system, state_of(target))):
+                        return found(
+                            _rebuild_trace(graph, initial, target, parents))
                 sid += 1
         return found(None)
 
+    parents = array("q", repeat(_UNSEEN, len(store_states)))
+    parents[initial] = initial
     popleft = queue.popleft
     push = queue.append
     while queue:
         sid = popleft()
         expanded += 1
         if obs is not None:
-            obs.tick(len(parents), expanded, 0, len(queue))
-        transitions = cached_succ.get(sid)
-        if transitions is None:
-            if drive is not None:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-            else:
-                transitions = compute_transitions(sid)
-        for t in transitions:
-            target = t.target
-            if target in parents:
+            obs.tick(stored, expanded, 0, len(queue))
+        targets = rows[sid] if sid < len(rows) else None
+        if targets is None:
+            targets = expand(sid)
+            _grow(parents, len(store_states))
+        for target in targets:
+            if parents[target] != _UNSEEN:
                 continue
-            parents[target] = (sid, t.label)
+            parents[target] = sid
+            stored += 1
             if not unbounded:
-                budget.exceeded(len(parents))
+                budget.exceeded(stored)
             if pred_fn(StateView(system, state_of(target))):
                 return found(_rebuild_trace(graph, initial, target, parents))
             push(target)

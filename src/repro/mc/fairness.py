@@ -67,10 +67,10 @@ class FairProduct:
         cached = self._enabled_cache.get(sid)
         if cached is None:
             pids = set()
-            for t in self.graph.transitions(sid):
-                pids.add(t.label.pid)
-                if t.label.partner_pid is not None:
-                    pids.add(t.label.partner_pid)
+            for label in self.graph.row(sid)[0]:
+                pids.add(label.pid)
+                if label.partner_pid is not None:
+                    pids.add(label.partner_pid)
             cached = frozenset(pids)
             self._enabled_cache[sid] = cached
         return cached

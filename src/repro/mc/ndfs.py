@@ -119,12 +119,10 @@ class _Product:
         self, node: ProductNode
     ) -> Iterator[Tuple[TransitionLabel, ProductNode]]:
         sid, qid = node
-        transitions = self.graph.transitions(sid)
-        self.stats.transitions += len(transitions)
-        if transitions:
-            moves: Iterable[Tuple[TransitionLabel, int]] = (
-                (t.label, t.target) for t in transitions
-            )
+        labels, targets = self.graph.row(sid)
+        self.stats.transitions += len(targets)
+        if targets:
+            moves: Iterable[Tuple[TransitionLabel, int]] = zip(labels, targets)
         else:
             moves = [(_STUTTER, sid)]  # stutter extension
         buchi_next = self.automaton.successors[qid]

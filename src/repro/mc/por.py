@@ -48,8 +48,7 @@ from ..psl.compiler import Edge, OpAssert, OpAssign, OpDStep, OpElse, OpGuard, O
 from ..psl.interp import Interpreter, TransitionLabel
 from ..psl.system import ProcessInstance, System
 from .budget import Budget
-from .engine import CachedTransition, StateGraph, as_graph
-from .explore import _rebuild_trace
+from .engine import StateGraph, as_graph
 from .props import Prop
 from .result import (
     Statistics,
@@ -98,6 +97,11 @@ def _edge_is_invisible(
     return True
 
 
+#: A state's (possibly reduced) edges: labels, target ids, and the
+#: violation message of each violating edge by index.
+Edges = Tuple[Sequence[TransitionLabel], Sequence[int], Dict[int, str]]
+
+
 class AmpleInterpreter:
     """Ample-set successor generation over a shared state graph."""
 
@@ -127,37 +131,71 @@ class AmpleInterpreter:
         self._ample_loc_cache[key] = ok
         return ok
 
-    def ample_transitions(
-        self, sid: int, on_stack: Set[int]
-    ) -> Tuple[List[CachedTransition], bool]:
-        """Successor transitions, reduced when a valid ample set exists.
+    def ample_transitions(self, sid: int, on_stack: Set[int]) -> Tuple[Edges, bool]:
+        """Successor edges, reduced when a valid ample set exists.
 
-        Returns ``(transitions, reduced)``.  ``on_stack`` is the set of
-        state ids on the current DFS stack, used for the C3 cycle
-        proviso.
+        Returns ``(edges, reduced)``.  ``on_stack`` is the set of state
+        ids on the current DFS stack, used for the C3 cycle proviso.
         """
         graph = self.graph
+        cache = graph.cache
         state = graph.state(sid)
-        cached_full = graph.cache.peek(sid)
+        expanded = cache.is_expanded(sid)
         intern = graph.store.intern
         for pid in range(len(self.interp.system.instances)):
             if not self._location_is_ample_candidate(pid, state.locs[pid]):
                 continue
-            if cached_full is not None:
+            if expanded:
                 # The full relation is pid-ordered, so filtering by pid
                 # yields exactly the per-process transition list.
-                candidate = [t for t in cached_full if t.label.pid == pid]
+                labels, targets = cache.row(sid)
+                violations = cache.violations.get(sid, {})
+                keep = [i for i, label in enumerate(labels) if label.pid == pid]
+                edges: Edges = (
+                    [labels[i] for i in keep],
+                    [targets[i] for i in keep],
+                    {j: violations[i] for j, i in enumerate(keep)
+                     if i in violations},
+                )
             else:
-                candidate = [
-                    CachedTransition(t.label, intern(t.target), t.violation)
-                    for t in self.interp._process_transitions(state, pid)
-                ]
-            if not candidate:
+                transitions = self.interp._process_transitions(state, pid)
+                edges = (
+                    [t.label for t in transitions],
+                    [intern(t.target) for t in transitions],
+                    {i: t.violation for i, t in enumerate(transitions)
+                     if t.violation},
+                )
+            if not edges[1]:
                 continue  # C0 fails (e.g. all guards false)
-            if any(t.target in on_stack for t in candidate):
+            if any(target in on_stack for target in edges[1]):
                 continue  # C3 fails: would close a stack cycle
-            return candidate, True
-        return list(graph.transitions(sid)), False
+            return edges, True
+        labels, targets = cache.row(sid)
+        return (labels, targets, cache.violations.get(sid, {})), False
+
+
+def _rebuild_trace(
+    graph: StateGraph,
+    initial: int,
+    sid: int,
+    parents: Dict[int, Tuple[int, Optional[TransitionLabel]]],
+    extra: Optional[TraceStep] = None,
+) -> Trace:
+    """The DFS path to *sid*, from a map of (parent id, edge label).
+
+    The reduced search discovers a state through an ample edge, not
+    necessarily the first edge of the parent's full row, so this parent
+    map keeps the label.
+    """
+    steps: List[TraceStep] = []
+    while sid != initial:
+        prev, label = parents[sid]
+        steps.append(TraceStep(label, graph.state(sid)))
+        sid = prev
+    steps.reverse()
+    if extra is not None:
+        steps.append(extra)
+    return Trace(initial=graph.state(initial), steps=steps)
 
 
 def check_safety_por(
@@ -216,18 +254,18 @@ def check_safety_por(
                 )
             )
 
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]] = {
-        initial: (None, None)
+    parents: Dict[int, Tuple[int, Optional[TransitionLabel]]] = {
+        initial: (initial, None)
     }
     on_stack: Set[int] = {initial}
     # DFS stack: (state id, pending transition list, next index)
-    trans0, _ = ample.ample_transitions(initial, on_stack)
-    stats.transitions += len(trans0)
+    edges0, _ = ample.ample_transitions(initial, on_stack)
+    stats.transitions += len(edges0[1])
     stats.states_expanded += 1
     if obs is not None:
         obs.tick(stats.states_stored, stats.states_expanded,
-                 stats.transitions, len(trans0))
-    if not trans0 and check_deadlock and not graph.is_valid_end_state(initial):
+                 stats.transitions, len(edges0[1]))
+    if not edges0[1] and check_deadlock and not graph.is_valid_end_state(initial):
         blocked = ", ".join(i.name for i in graph.blocked_processes(initial))
         return finish(
             VerificationResult(
@@ -237,30 +275,34 @@ def check_safety_por(
                 trace=Trace(initial=graph.state(initial)),
             )
         )
-    stack: List[Tuple[int, List[CachedTransition], int]] = [(initial, trans0, 0)]
+    # DFS stack: (state id, pending edges, next index)
+    stack: List[Tuple[int, Edges, int]] = [(initial, edges0, 0)]
 
     while stack:
-        sid, transitions, idx = stack[-1]
-        if idx >= len(transitions):
+        sid, edges, idx = stack[-1]
+        labels, targets, violations = edges
+        if idx >= len(targets):
             stack.pop()
             on_stack.discard(sid)
             continue
-        stack[-1] = (sid, transitions, idx + 1)
-        t = transitions[idx]
+        stack[-1] = (sid, edges, idx + 1)
+        label = labels[idx]
+        target = targets[idx]
 
-        if t.violation:
+        if idx in violations:
             trace = _rebuild_trace(
                 graph, initial, sid, parents,
-                extra=TraceStep(t.label, graph.state(t.target)),
+                extra=TraceStep(label, graph.state(target)),
             )
             return finish(
                 VerificationResult(
-                    ok=False, kind=VIOLATION_ASSERTION, message=t.violation, trace=trace
+                    ok=False, kind=VIOLATION_ASSERTION,
+                    message=violations[idx], trace=trace,
                 )
             )
-        if t.target in parents:
+        if target in parents:
             continue
-        parents[t.target] = (sid, t.label)
+        parents[target] = (sid, label)
         stats.states_stored += 1
         exhausted = budget.exceeded(stats.states_stored)
         if exhausted is not None:
@@ -281,8 +323,8 @@ def check_safety_por(
             )
 
         for p in invariants:
-            if not p.evaluate(system, graph.state(t.target)):
-                trace = _rebuild_trace(graph, initial, t.target, parents)
+            if not p.evaluate(system, graph.state(target)):
+                trace = _rebuild_trace(graph, initial, target, parents)
                 return finish(
                     VerificationResult(
                         ok=False,
@@ -292,16 +334,16 @@ def check_safety_por(
                     )
                 )
 
-        on_stack.add(t.target)
-        succ, _ = ample.ample_transitions(t.target, on_stack)
-        stats.transitions += len(succ)
+        on_stack.add(target)
+        edges, _ = ample.ample_transitions(target, on_stack)
+        stats.transitions += len(edges[1])
         stats.states_expanded += 1
         if obs is not None:
             obs.tick(stats.states_stored, stats.states_expanded,
                      stats.transitions, len(stack))
-        if not succ and check_deadlock and not graph.is_valid_end_state(t.target):
-            blocked = ", ".join(i.name for i in graph.blocked_processes(t.target))
-            trace = _rebuild_trace(graph, initial, t.target, parents)
+        if not edges[1] and check_deadlock and not graph.is_valid_end_state(target):
+            blocked = ", ".join(i.name for i in graph.blocked_processes(target))
+            trace = _rebuild_trace(graph, initial, target, parents)
             return finish(
                 VerificationResult(
                     ok=False,
@@ -310,7 +352,7 @@ def check_safety_por(
                     trace=trace,
                 )
             )
-        stack.append((t.target, succ, 0))
+        stack.append((target, edges, 0))
 
     props_txt = ", ".join(p.name for p in invariants) or "assertions"
     return finish(

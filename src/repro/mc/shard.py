@@ -45,12 +45,12 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from ..psl.interp import Interpreter
 from ..psl.state import State
 from ..psl.system import System
-from .engine import CachedTransition, StateGraph, as_graph
+from .engine import StateGraph, as_graph
 
 __all__ = ["ShardReport", "parallel_worthwhile", "shard_explore"]
 
@@ -160,11 +160,11 @@ def shard_explore(
     store = graph.store
     cache = graph.cache
     store_states = store._states
-    succ = cache._succ
     intern = store.intern
-    pending = [sid for sid in range(len(store_states)) if sid not in succ]
+    pending = [sid for sid in range(len(store_states))
+               if not cache.is_expanded(sid)]
     waves = 0
-    expanded = len(succ)
+    expanded = len(cache)
     ntrans = 0
     workers = max(2, min(jobs, os.cpu_count() or jobs))
 
@@ -198,14 +198,15 @@ def shard_explore(
                      for c in chunks])
                 for c, result in zip(chunks, results):
                     for sid, succs in zip(c, result):
-                        cached = tuple([
-                            CachedTransition(label, intern(tgt), violation)
-                            for label, tgt, violation in succs
-                        ])
-                        succ[sid] = cached
-                        cache.misses += 1
+                        cache.record(
+                            sid,
+                            tuple([label for label, _, _ in succs]),
+                            tuple([intern(tgt) for _, tgt, _ in succs]),
+                            {i: violation
+                             for i, (_, _, violation) in enumerate(succs)
+                             if violation})
                         expanded += 1
-                        ntrans += len(cached)
+                        ntrans += len(succs)
                         if obs is not None:
                             obs.tick(len(store_states), expanded, ntrans,
                                      len(pending))
@@ -216,8 +217,8 @@ def shard_explore(
         # verification failure: cached waves are valid, the serial path
         # finishes the remainder, and the verdict cannot change.
         graph.explore(max_states=max_states)
-        expanded = len(succ)
-        ntrans = sum(len(ts) for ts in succ.values())
+        expanded = len(cache)
+        ntrans = sum(len(ts) for ts in cache.targets if ts is not None)
         workers = 1
         return finish("sharded exploration degraded to a serial run: "
                       "the worker pool failed mid-exploration")

@@ -107,10 +107,9 @@ def _plain_transition(label, target, violation=None,
 
     Generated code hands the target over as a plain 4-tuple of state
     components; this factory rebuilds the :class:`State` NamedTuple for
-    the public API.  The engine-mode binding
-    (:meth:`CompiledInterpreter.bind_engine`) replaces ``T`` with a
-    factory that interns the raw tuple instead — on an intern hit (the
-    common case in a dense graph) no State object is built at all.
+    the public API.  Engine-mode programs
+    (:meth:`CompiledInterpreter.bind_engine`) never call it: they intern
+    the raw tuple inline (see :func:`_emit_T`).
     """
     return _tr(label, _mk(target), violation)
 
@@ -389,12 +388,18 @@ def _emit_T(body: "_SourceWriter", ind: int, label: str, target: str,
 
     Plain mode routes through the namespace's ``T`` constructor (a
     :class:`~repro.psl.interp.Transition` factory).  Engine mode inlines
-    the state-store intern *and* the ``CachedTransition`` build into the
-    generated code — the model checker's single hottest operation runs
-    with no per-transition function call at all, and on an intern hit
-    (the common case in a dense graph) no State object is built either:
-    raw component tuples hash and compare equal to the State NamedTuple,
-    so they share the store's id map.
+    the state-store intern and the memo-row build into the generated
+    code — the model checker's single hottest operation runs with no
+    per-transition function call and no per-transition object: the
+    label goes to ``out`` and the interned target id to the driver's
+    target list (``_TA``).  On an intern hit (the common case in a dense
+    graph) no :class:`State` is built either: raw component tuples hash
+    and compare equal to the State NamedTuple, so they share the store's
+    id map.  On a miss one State is built and serves as both the map's
+    key and the store's list entry.  A violating transition also records
+    ``(edge index, message)`` through ``_VA``; only assertion branches
+    emit that call (``viol`` is a message name, or a d_step's runtime
+    ``_viol``), so ordinary transitions pay nothing for it.
     """
     if not engine:
         body.line(ind, f"out.append(T({label}, {target}, {viol}))")
@@ -403,9 +408,16 @@ def _emit_T(body: "_SourceWriter", ind: int, label: str, target: str,
     body.line(ind, "_si = _I.get(_tg)")
     body.line(ind, "if _si is None:")
     body.line(ind + 1, "_si = len(_S)")
+    body.line(ind + 1, "_tg = _MKS(_tg)")
     body.line(ind + 1, "_I[_tg] = _si")
-    body.line(ind + 1, "_SA(_MKS(_tg))")
-    body.line(ind, f"out.append(_NT(_CT, ({label}, _si, {viol})))")
+    body.line(ind + 1, "_SA(_tg)")
+    if viol == "_viol":
+        body.line(ind, "if _viol is not None:")
+        body.line(ind + 1, "_VA((len(out), _viol))")
+    elif viol != "None":
+        body.line(ind, f"_VA((len(out), {viol}))")
+    body.line(ind, f"out.append({label})")
+    body.line(ind, "_TA(_si)")
 
 
 class _SourceWriter:
@@ -815,9 +827,10 @@ def _emit_dstep(body, ind, gen, pid, inst, op, eid, dst, has_else,
     body.line(inner + 1, "break")
     frames_src = _tset("frames", pid, "tuple(_Lm)",
                        len(gen.system.instances))
+    asserts = any(isinstance(sub, OpAssert) for sub in subs[start:])
     _emit_T(body, inner, f"LBL_{eid}",
-            f"({locs_to(dst)}, {frames_src}, chans, tuple(_Gm))", "_viol",
-            engine)
+            f"({locs_to(dst)}, {frames_src}, chans, tuple(_Gm))",
+            "_viol" if asserts else "None", engine)
 
 
 def _emit_buffered_recv(body, ind, gen, pid, inst, op, chan, eid, dst,
@@ -1127,26 +1140,26 @@ class CompiledInterpreter(Interpreter):
                                     out: List[Transition]) -> None:
         self._steps[pid][state.locs[pid]](state, out)
 
-    def bind_engine(self, store) -> "callable":
-        """Bind an engine-mode driver emitting interned cached transitions.
+    def bind_engine(self, store, targets_out, violations_out) -> "callable":
+        """Bind an engine-mode driver that builds memo rows directly.
 
-        Returns ``drive(state) -> list`` of
-        :class:`~repro.mc.engine.CachedTransition` with targets already
-        interned into *store*.  The driver runs *engine-mode* programs:
-        the same lowering as :meth:`transitions`, but with the
-        state-store intern and the ``CachedTransition`` build generated
-        inline (see :func:`_emit_T`), so the engine's wrap-and-intern
-        second pass disappears without even a per-transition call frame
-        — and on an intern hit no :class:`State` object is allocated at
-        all (raw tuples hash and compare equal to the NamedTuple, so
-        they share the store's id map; only first-seen states are
-        materialized).  The interpreter's own tables are untouched:
-        each :class:`~repro.mc.engine.StateGraph` gets its own driver
-        bound to its own store, and the plain-:class:`Transition` API
-        keeps working for POR, simulation, and differential tests.
+        Returns ``drive(state) -> list`` of the state's transition
+        labels.  As a side effect each transition's target is interned
+        into *store* and its id passed to ``targets_out`` (a list's
+        ``append``), edge for edge; a violating transition also passes
+        ``(edge index, message)`` to ``violations_out``.  The driver
+        runs *engine-mode* programs: the same lowering as
+        :meth:`transitions`, with the intern and the row build generated
+        inline (see :func:`_emit_T`), so no per-transition call frame or
+        object exists — and on an intern hit no :class:`State` object is
+        allocated at all (raw tuples hash and compare equal to the
+        NamedTuple, so they share the store's id map; only first-seen
+        states are materialized, once, as both key and list entry).  The
+        interpreter's own tables are untouched: each
+        :class:`~repro.mc.engine.StateGraph` gets its own driver bound
+        to its own store, and the plain-:class:`Transition` API keeps
+        working for POR, simulation, and differential tests.
         """
-        from ..mc.engine import CachedTransition
-
         t0 = time.perf_counter()
         system = self.system
         extra = {
@@ -1154,8 +1167,8 @@ class CompiledInterpreter(Interpreter):
             "_S": store._states,
             "_SA": store._states.append,
             "_MKS": State._make,
-            "_NT": tuple.__new__,
-            "_CT": CachedTransition,
+            "_TA": targets_out,
+            "_VA": violations_out,
         }
         namespaces: List[dict] = []
         tables: List[tuple] = []

@@ -1,8 +1,14 @@
 """The version is single-sourced: package, CLI, reports, service."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import __version__
 from repro.cli import main
@@ -17,6 +23,17 @@ class TestVersionSingleSourcing:
             main(["--version"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.strip() == f"repro {__version__}"
+
+    def test_python_dash_m_repro(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "repro", "--version"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"repro {__version__}"
 
     def test_pyproject_reads_the_package_version(self):
         # No second copy of the number: pyproject declares the version

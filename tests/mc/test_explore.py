@@ -1,5 +1,7 @@
 """Tests for repro.mc.explore: safety BFS, deadlocks, state counting."""
 
+import gc
+
 import pytest
 
 from repro.mc import (
@@ -15,11 +17,14 @@ from repro.mc import (
     reachable_states,
     sweep_safety,
 )
+from repro.mc.explore import _gc_paused
+from repro.psl.errors import ExecutionError
 from repro.psl import (
     Assert,
     Assign,
     Branch,
     Do,
+    DStep,
     EndLabel,
     Guard,
     ProcessDef,
@@ -274,6 +279,52 @@ class TestFindState:
         trace = find_state(counter_system(5), p)
         # guard then increment: two steps
         assert len(trace) == 2
+
+
+class TestMemoAfterModelError:
+    def test_failed_expansion_leaves_no_partial_row(self):
+        # In the initial state `setter` has a transition and `broken`'s
+        # d_step fails part-way (a model error raised mid-row).  The
+        # next state's row must not inherit the failed row's edges.
+        s = System("broken")
+        s.add_global("g", 0)
+        s.add_global("h", 0)
+        s.spawn(ProcessDef("setter", Assign("g", 1)), "a")
+        s.spawn(ProcessDef("broken", DStep([
+            Guard(V("g") == 0), Assign("h", 1), Guard(V("h") == 99)])), "b")
+        graph = StateGraph(s)
+        with pytest.raises(ExecutionError, match="blocked"):
+            graph.successors(graph.initial_id)
+        assert len(graph.store) == 2  # the setter's target got interned
+        assert graph.row(1) == ((), ())
+
+
+class TestGcPause:
+    def test_walk_objects_leave_the_young_generations(self):
+        # A walk's survivors must not stay young: the first young
+        # collection after a million-state walk would traverse them all.
+        assert gc.isenabled()
+        with _gc_paused():
+            made = [[i] for i in range(1000)]
+        assert gc.isenabled()
+        young = {id(o) for gen in (0, 1) for o in gc.get_objects(gen)}
+        assert not any(id(o) in young for o in made)
+        assert id(made) not in young
+
+    def test_caller_frozen_objects_stay_frozen(self):
+        # Promoting the walk's objects through freeze/unfreeze would
+        # thaw whatever the caller froze on purpose, so it is skipped.
+        held = [[i] for i in range(100)]
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with _gc_paused():
+                [[i] for i in range(100)]
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+        assert held
 
 
 class TestResultFormatting:
