@@ -6,14 +6,22 @@ checkers historically threw all exploration work away between runs:
 scenario re-walked the state space from scratch, rebuilding every
 :class:`~repro.psl.interp.Transition` per visit.  This module makes the
 state space itself a reusable artifact, laid out to keep the kept
-graph small (~300 B per state):
+graph small (~400 B per state on the 2-customer gas station, component
+tuples and their canonical tables included):
 
 * :class:`StateStore` — interns :class:`~repro.psl.state.State` tuples
   to dense integer ids.  Each state is one object, used both as the id
   map's key and as the id-indexed list entry.  A state's (expensive)
   deep-tuple hash is computed once, at interning time; every downstream
   structure — BFS frontiers, parent maps, NDFS color sets, POR stacks —
-  then keys on small ints whose hashes are free.
+  then keys on small ints whose hashes are free.  The store also
+  hash-conses the state *components*, SPIN's collapse compression in
+  Python form: one canonical table per component (``locs``, ``frames``,
+  ``chans``, ``globals_``) maps each distinct value to the one instance
+  every stored state points at.  A state stays a 4-tuple of pointers,
+  but a value shared by many states exists once (the 2-customer gas
+  station's 28,672 states share 17,356 location vectors, 1,563 frame
+  vectors, 19 channel vectors and 9 global vectors).
 * :class:`TransitionCache` — memoizes the transition relation as two
   sid-indexed *rows* per expanded state: a tuple of labels and a tuple
   of target ids, in the interpreter's order.  The rare violating
@@ -45,21 +53,56 @@ from ..psl.system import ProcessInstance, System
 
 __all__ = ["CachedTransition", "StateGraph", "StateStore", "TransitionCache"]
 
+#: Builds a :class:`State` from a 4-tuple without the NamedTuple's
+#: Python-level ``__new__``.
+_new_state = tuple.__new__
+
 
 class StateStore:
-    """Interns states to dense integer ids (hash once, compare by int)."""
+    """Interns states to dense integer ids (hash once, compare by int).
 
-    __slots__ = ("_ids", "_states")
+    Every stored :class:`State` is built from *canonical* components:
+    ``_locs``, ``_frames``, ``_chans`` and ``_globals`` map each
+    distinct component value seen so far to its one stored instance
+    (key and value are the same object).  An intern miss looks each
+    component up there (``setdefault``) before building the state, so
+    equal components of different states are one object, and a
+    component read off a stored state is always the table's entry —
+    which is what lets the JIT's engine-mode miss branch reuse an
+    unchanged component as is (see
+    :meth:`~repro.psl.jit.CompiledInterpreter.bind_engine`).  The
+    tables cost ~23 B/state and take the components from ~210 to ~70
+    B/state on the 2-customer gas station; they live and die with the
+    store.
+    """
+
+    __slots__ = ("_ids", "_states", "_locs", "_frames", "_chans",
+                 "_globals")
 
     def __init__(self) -> None:
         self._ids: Dict[State, int] = {}
         self._states: List[State] = []
+        self._locs: Dict[tuple, tuple] = {}
+        self._frames: Dict[tuple, tuple] = {}
+        self._chans: Dict[tuple, tuple] = {}
+        self._globals: Dict[tuple, tuple] = {}
 
     def intern(self, state: State) -> int:
-        """The id of *state*, assigning the next free id on first sight."""
+        """The id of *state*, assigning the next free id on first sight.
+
+        A first-seen state is stored as a new :class:`State` over the
+        canonical instances of its components, so the caller's object
+        (any 4-tuple of components) is not kept.
+        """
         sid = self._ids.get(state)
         if sid is None:
             sid = len(self._states)
+            locs, frames, chans, globals_ = state
+            state = _new_state(State, (
+                self._locs.setdefault(locs, locs),
+                self._frames.setdefault(frames, frames),
+                self._chans.setdefault(chans, chans),
+                self._globals.setdefault(globals_, globals_)))
             self._ids[state] = sid
             self._states.append(state)
         return sid

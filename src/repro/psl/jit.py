@@ -382,11 +382,22 @@ def _program_key(pid: int, inst: ProcessInstance, system: System) -> tuple:
             shape)
 
 
-def _emit_T(body: "_SourceWriter", ind: int, label: str, target: str,
-            viol: str, engine: bool) -> None:
+#: Target-component sources that read a component unchanged off the
+#: expanded state (every transition moves ``locs``, so it has none).
+_UNCHANGED = frozenset({"frames", "chans", "state[2]", "G"})
+
+#: The engine namespace's canonicalizer for each state component.
+_CANON = ("_CL", "_CF", "_CC", "_CG")
+
+
+def _emit_T(body: "_SourceWriter", ind: int, label: str,
+            target: Tuple[str, str, str, str], viol: str,
+            engine: bool) -> None:
     """Emit one transition append.
 
-    Plain mode routes through the namespace's ``T`` constructor (a
+    *target* holds the source of the four state components (``locs``,
+    ``frames``, ``chans``, globals) separately.  Plain mode routes
+    through the namespace's ``T`` constructor (a
     :class:`~repro.psl.interp.Transition` factory).  Engine mode inlines
     the state-store intern and the memo-row build into the generated
     code — the model checker's single hottest operation runs with no
@@ -396,19 +407,27 @@ def _emit_T(body: "_SourceWriter", ind: int, label: str, target: str,
     graph) no :class:`State` is built either: raw component tuples hash
     and compare equal to the State NamedTuple, so they share the store's
     id map.  On a miss one State is built and serves as both the map's
-    key and the store's list entry.  A violating transition also records
-    ``(edge index, message)`` through ``_VA``; only assertion branches
-    emit that call (``viol`` is a message name, or a d_step's runtime
-    ``_viol``), so ordinary transitions pay nothing for it.
+    key and the store's list entry.  The miss branch hash-conses only
+    the components this transition *built fresh*, through the store's
+    canonical tables (``_CL``/``_CF``/``_CC``/``_CG``); a component
+    read unchanged off the expanded state (a bare ``frames``, ``chans``
+    or ``G``) comes from a stored state and is already canonical, so it
+    is used as is.  A violating transition also records ``(edge index,
+    message)`` through ``_VA``; only assertion branches emit that call
+    (``viol`` is a message name, or a d_step's runtime ``_viol``), so
+    ordinary transitions pay nothing for it.
     """
+    tup = "(" + ", ".join(target) + ")"
     if not engine:
-        body.line(ind, f"out.append(T({label}, {target}, {viol}))")
+        body.line(ind, f"out.append(T({label}, {tup}, {viol}))")
         return
-    body.line(ind, f"_tg = {target}")
+    parts = [src if src in _UNCHANGED else f"{canon}(_tg[{k}], _tg[{k}])"
+             for k, (src, canon) in enumerate(zip(target, _CANON))]
+    body.line(ind, f"_tg = {tup}")
     body.line(ind, "_si = _I.get(_tg)")
     body.line(ind, "if _si is None:")
     body.line(ind + 1, "_si = len(_S)")
-    body.line(ind + 1, "_tg = _MKS(_tg)")
+    body.line(ind + 1, f"_tg = _NT(State, ({', '.join(parts)}))")
     body.line(ind + 1, "_I[_tg] = _si")
     body.line(ind + 1, "_SA(_tg)")
     if viol == "_viol":
@@ -579,6 +598,10 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
     def locs_to(dst: int) -> str:
         return _tset("locs", pid, str(dst), len(system.instances))
 
+    def unchanged(dst: int) -> Tuple[str, str, str, str]:
+        """Target components of an edge that only moves *pid* to *dst*."""
+        return (locs_to(dst), "frames", "chans", "G")
+
     for j, edge in enumerate(edges):
         op = edge.op
         eid = eid_of(j)
@@ -596,14 +619,14 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
                 ind += 1
             if has_else:
                 body.line(ind, "any_enabled = True")
-            _emit_T(body, ind, f"LBL_{eid}",
-                    f"({locs_to(dst)}, frames, chans, G)", "None", engine)
+            _emit_T(body, ind, f"LBL_{eid}", unchanged(dst), "None",
+                    engine)
         elif isinstance(op, OpSkip):
             ns_specs.append(("label", f"LBL_{eid}", "local", op.desc))
             if has_else:
                 body.line(ind, "any_enabled = True")
-            _emit_T(body, ind, f"LBL_{eid}",
-                    f"({locs_to(dst)}, frames, chans, G)", "None", engine)
+            _emit_T(body, ind, f"LBL_{eid}", unchanged(dst), "None",
+                    engine)
         elif isinstance(op, OpAssign):
             ns_specs.append(("label", f"LBL_{eid}", "local", op.desc))
             if has_else:
@@ -616,7 +639,7 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
                     _tset("L", lidx, "_v", len(inst.local_index)),
                     len(system.instances))
                 _emit_T(body, ind, f"LBL_{eid}",
-                        f"({locs_to(dst)}, {frames_src}, chans, G)",
+                        (locs_to(dst), frames_src, "chans", "G"),
                         "None", engine)
             else:
                 gidx = system.global_index.get(op.name)
@@ -627,7 +650,7 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
                     )
                 g_src = _tset('G', gidx, '_v', len(system.global_index))
                 _emit_T(body, ind, f"LBL_{eid}",
-                        f"({locs_to(dst)}, frames, chans, {g_src})",
+                        (locs_to(dst), "frames", "chans", g_src),
                         "None", engine)
         elif isinstance(op, OpAssert):
             ns_specs.append(("label", f"LBL_{eid}", "assert", op.desc))
@@ -635,12 +658,11 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
             if has_else:
                 body.line(ind, "any_enabled = True")
             body.line(ind, f"if {gen.boolean(op.expr)}:")
-            _emit_T(body, ind + 1, f"LBL_{eid}",
-                    f"({locs_to(dst)}, frames, chans, G)", "None", engine)
-            body.line(ind, "else:")
-            _emit_T(body, ind + 1, f"LBL_{eid}",
-                    f"({locs_to(dst)}, frames, chans, G)", f"VMSG_{eid}",
+            _emit_T(body, ind + 1, f"LBL_{eid}", unchanged(dst), "None",
                     engine)
+            body.line(ind, "else:")
+            _emit_T(body, ind + 1, f"LBL_{eid}", unchanged(dst),
+                    f"VMSG_{eid}", engine)
         elif isinstance(op, OpDStep):
             _emit_dstep(body, ind, gen, pid, inst, op, eid, dst, has_else,
                         ns_specs, locs_to, engine)
@@ -663,7 +685,7 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
                 chans_src = _tset("chans", chan.index, "_c + (_m,)",
                                   len(system.channels))
                 _emit_T(body, ind + 1, "_lb",
-                        f"({locs_to(dst)}, frames, {chans_src}, G)",
+                        (locs_to(dst), "frames", chans_src, "G"),
                         "None", engine)
             else:
                 rv_sends.append((eid, op.chan_param, loc, dst, op.desc))
@@ -714,8 +736,7 @@ def _emit_location(w, gen, pid, inst, system, loc, edges, eid_of,
                 eid = eid_of(j)
                 ns_specs.append(("label", f"LBL_{eid}", "else",
                                  edge.op.desc))
-                _emit_T(body, 2, f"LBL_{eid}",
-                        f"({locs_to(edge.dst)}, frames, chans, G)",
+                _emit_T(body, 2, f"LBL_{eid}", unchanged(edge.dst),
                         "None", engine)
 
     # Rendezvous receive handlers are emitted per edge regardless of
@@ -829,7 +850,7 @@ def _emit_dstep(body, ind, gen, pid, inst, op, eid, dst, has_else,
                        len(gen.system.instances))
     asserts = any(isinstance(sub, OpAssert) for sub in subs[start:])
     _emit_T(body, inner, f"LBL_{eid}",
-            f"({locs_to(dst)}, {frames_src}, chans, tuple(_Gm))",
+            (locs_to(dst), frames_src, "chans", "tuple(_Gm)"),
             "_viol" if asserts else "None", engine)
 
 
@@ -879,9 +900,8 @@ def _emit_buffered_recv(body, ind, gen, pid, inst, op, chan, eid, dst,
     body.line(ind, f"_lb = LMEMO_{eid}.get(_m)")
     body.line(ind, "if _lb is None:")
     body.line(ind + 1, f"_lb = LMEMO_{eid}[_m] = MKLBL_{eid}(_m)")
-    _emit_T(body, ind, "_lb",
-            f"({locs_to(dst)}, {f_src}, {chans_src}, {g_src})", "None",
-            engine)
+    _emit_T(body, ind, "_lb", (locs_to(dst), f_src, chans_src, g_src),
+            "None", engine)
 
 
 def _emit_rv_handler(w, gen, pid, inst, op, eid, dst,
@@ -909,8 +929,8 @@ def _emit_rv_handler(w, gen, pid, inst, op, eid, dst,
     w.line(1, "_lb = _memo.get(_m)")
     w.line(1, "if _lb is None:")
     w.line(2, "_lb = _memo[_m] = _mk(_m)")
-    _emit_T(w, 1, "_lb",
-            f"(tuple(_locs), {f_src}, state[2], {g_src})", "None", engine)
+    _emit_T(w, 1, "_lb", ("tuple(_locs)", f_src, "state[2]", g_src),
+            "None", engine)
     w.line(1, "return True")
 
 
@@ -1155,7 +1175,14 @@ class CompiledInterpreter(Interpreter):
         allocated at all (raw tuples hash and compare equal to the
         NamedTuple, so they share the store's id map; only first-seen
         states are materialized, once, as both key and list entry).  The
-        interpreter's own tables are untouched: each
+        miss branch hash-conses the components the transition built
+        fresh through the store's canonical component tables, and uses
+        the ones it took unchanged from *state* as they are: every
+        state this driver expands is a stored one, and whatever wrote
+        it (this driver, :meth:`StateStore.intern
+        <repro.mc.engine.StateStore.intern>` from the tree-walk path,
+        POR or the sharded explorer) built it from canonical
+        components.  The interpreter's own tables are untouched: each
         :class:`~repro.mc.engine.StateGraph` gets its own driver bound
         to its own store, and the plain-:class:`Transition` API keeps
         working for POR, simulation, and differential tests.
@@ -1166,7 +1193,11 @@ class CompiledInterpreter(Interpreter):
             "_I": store._ids,
             "_S": store._states,
             "_SA": store._states.append,
-            "_MKS": State._make,
+            "_NT": tuple.__new__,
+            "_CL": store._locs.setdefault,
+            "_CF": store._frames.setdefault,
+            "_CC": store._chans.setdefault,
+            "_CG": store._globals.setdefault,
             "_TA": targets_out,
             "_VA": violations_out,
         }

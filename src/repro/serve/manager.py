@@ -19,8 +19,14 @@ tests without sockets.  It owns:
   :class:`~repro.design.supervise.SupervisedPool`, so a segfaulting or
   hung checker is classified and retried per
   :class:`~repro.design.supervise.RetryPolicy` instead of taking the
-  daemon down.  Inline mode (``supervised=False``) runs jobs on the
-  worker thread itself — faster to start, used by tests;
+  daemon down.  Sandboxes start from a ``forkserver``, not by forking
+  the daemon: a child forked from a process that runs many threads
+  can inherit a lock some other thread held at the fork and block on
+  it forever (seen as jobs hung in garbage collection).  The fork
+  server is a single-threaded process that has imported this module,
+  so a sandbox still starts without re-importing the checker.  Inline
+  mode (``supervised=False``) runs jobs on the worker thread itself —
+  faster to start, used by tests;
 * **the journal** — every job persists ``job.json`` atomically on each
   state change under ``<state_dir>/jobs/<id>/``, next to its
   ``events.jsonl`` stream.  A manager opened on an existing state
@@ -31,12 +37,15 @@ The ``serve.run`` failpoint fires in the compute path (the worker
 child in supervised mode, the worker thread inline), so chaos tests
 can hold a job mid-flight (``REPRO_FAILPOINTS=serve.run=sleep:2``) to
 pin the coalescing window, or kill a supervised worker to exercise
-crash attribution end-to-end over HTTP.
+crash attribution end-to-end over HTTP.  The fork server's environment
+is the one it started with, so each supervised job carries the
+daemon's current ``REPRO_FAILPOINTS`` in its payload.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import queue
@@ -88,15 +97,32 @@ def _serve_job_task(payload: bytes) -> Dict[str, Any]:
     The child appends its engine events *live* to the job's
     ``events.jsonl`` (per-event flush), which is what the daemon's
     streaming endpoint tails — a client watches verification progress
-    while the state space is still being explored.
+    while the state space is still being explored.  The payload's
+    failpoint spec replaces the inherited ``REPRO_FAILPOINTS``.
     """
-    spec, events_path, cache_dir, interval = pickle.loads(payload)
+    spec, events_path, cache_dir, interval, failpoint_spec = \
+        pickle.loads(payload)
+    if failpoint_spec is None:
+        os.environ.pop(failpoints.ENV_VAR, None)
+    else:
+        os.environ[failpoints.ENV_VAR] = failpoint_spec
     failpoints.hit("serve.run", token=spec.get("system") or spec.get("space"))
     reporter = JsonlReporter(events_path, interval=interval)
     try:
         return run_job(spec, reporter=reporter, cache_dir=cache_dir)
     finally:
         reporter.close()
+
+
+def _sandbox_context():
+    """The ``forkserver`` context supervised jobs start from.
+
+    The fork server preloads this module (and with it the job runner),
+    so each sandbox forks from a warm, single-threaded process.
+    """
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return context
 
 
 class _Job:
@@ -402,9 +428,11 @@ class JobManager:
         error: Optional[str] = None
         if self.supervised:
             payload = pickle.dumps((job.spec, events_path, self._cache_dir,
-                                    self.interval))
+                                    self.interval,
+                                    os.environ.get(failpoints.ENV_VAR)))
             pool = SupervisedPool(1, timeout=self.job_timeout,
-                                  retry=self.retry)
+                                  retry=self.retry,
+                                  context=_sandbox_context())
             outcomes = pool.run(_serve_job_task, [payload], keys=[job.id])
             outcome = outcomes[0] if outcomes else None
             if outcome is not None and outcome.ok:

@@ -10,17 +10,39 @@ the ``State`` objects, the sid ints, and the memo's lists and rows
   in the list, and one ``CachedTransition`` per edge in a dict memo;
 * 307 B — one ``State`` object per state, flat label/target rows in
   sid-indexed lists.
+
+Counting the component tuples too (every tuple reachable from a
+state's ``locs``/``frames``/``chans``/``globals_``, identity-deduped)
+and the store's canonical component tables:
+
+* 516 B — each state holding private copies of most components
+  (209 B of component tuples);
+* 400 B — hash-consed components, one object per distinct value
+  (70 B of component tuples plus 23 B of canonical tables).
+
+The 2-customer graph's 28,672 states hold only 17,356 distinct
+location vectors, 1,563 frame vectors, 19 channel vectors and 9 global
+vectors; with hash-consing, that is also how many objects there are.
 """
 
 import sys
 
 import pytest
 
-from repro.mc import StateGraph, check_safety
+from repro.mc import StateGraph, check_safety, check_safety_por
 from repro.systems.gas_station import build_gas_station
 
-#: Ceiling on graph-owned bytes per state (measured 307 on CPython 3.11).
+#: Ceiling on graph-owned bytes per state, component tuples excluded
+#: (measured 307 on CPython 3.11).
 MAX_BYTES_PER_STATE = 350
+
+#: Ceiling on everything the graph owns per state, component tuples and
+#: canonical tables included (measured 400 on CPython 3.11; 516 before
+#: components were hash-consed).
+MAX_TOTAL_BYTES_PER_STATE = 430
+
+#: Distinct ``locs``, ``frames``, ``chans`` and ``globals_`` values.
+DISTINCT_COMPONENTS = (17_356, 1_563, 19, 9)
 
 
 def _graph_bytes(graph: StateGraph) -> int:
@@ -53,11 +75,33 @@ def _graph_bytes(graph: StateGraph) -> int:
     return total
 
 
+def _component_bytes(graph: StateGraph) -> int:
+    """Bytes of every tuple reachable from stored states' components."""
+    seen = set()
+    total = 0
+    stack = [component for state in graph.store._states
+             for component in state]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            stack.extend(x for x in obj if isinstance(x, tuple))
+    return total
+
+
+def _tables(store):
+    return (store._locs, store._frames, store._chans, store._globals)
+
+
+def _system():
+    return build_gas_station(customers=2, selective_delivery=True) \
+        .to_system(fused=True)
+
+
 @pytest.fixture(scope="module")
 def graph():
-    system = build_gas_station(customers=2, selective_delivery=True) \
-        .to_system(fused=True)
-    graph = StateGraph(system)
+    graph = StateGraph(_system())
     assert check_safety(graph).ok
     return graph
 
@@ -72,3 +116,36 @@ def test_one_object_per_state(graph):
     assert len(store._ids) == len(store._states) == 28_672
     for key, sid in store._ids.items():
         assert store._states[sid] is key
+
+
+def test_total_bytes_per_state_ceiling(graph):
+    total = (_graph_bytes(graph) + _component_bytes(graph)
+             + sum(sys.getsizeof(t) for t in _tables(graph.store)))
+    per_state = total / len(graph.store)
+    assert per_state <= MAX_TOTAL_BYTES_PER_STATE, f"{per_state:.0f} B/state"
+
+
+@pytest.mark.parametrize("jit", [True, False], ids=["jit", "tree-walk"])
+def test_components_shared(jit):
+    graph = StateGraph(_system(), jit=jit)
+    assert check_safety(graph).ok
+    states = graph.store._states
+    for k, distinct in enumerate(DISTINCT_COMPONENTS):
+        assert len({state[k] for state in states}) == distinct
+        assert len({id(state[k]) for state in states}) == distinct
+
+
+def test_mixed_writers_store_canonical_components():
+    # POR interns through ``StateStore.intern``; the fused JIT driver
+    # then reuses the unchanged components of those states as is.
+    graph = StateGraph(_system(), jit=True)
+    assert check_safety_por(graph).ok
+    por_states = len(graph.store)
+    assert check_safety(graph).ok
+    assert len(graph.store) > por_states
+    tables = _tables(graph.store)
+    for state in graph.store._states:
+        for component, table in zip(state, tables):
+            assert table[component] is component
+    for k, table in enumerate(tables):
+        assert len(table) == DISTINCT_COMPONENTS[k]
