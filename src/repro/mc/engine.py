@@ -6,7 +6,7 @@ checkers historically threw all exploration work away between runs:
 scenario re-walked the state space from scratch, rebuilding every
 :class:`~repro.psl.interp.Transition` per visit.  This module makes the
 state space itself a reusable artifact, laid out to keep the kept
-graph small (~400 B per state on the 2-customer gas station, component
+graph small (~290 B per state on the 2-customer gas station, component
 tuples and their canonical tables included):
 
 * :class:`StateStore` — interns :class:`~repro.psl.state.State` tuples
@@ -22,11 +22,16 @@ tuples and their canonical tables included):
   but a value shared by many states exists once (the 2-customer gas
   station's 28,672 states share 17,356 location vectors, 1,563 frame
   vectors, 19 channel vectors and 9 global vectors).
-* :class:`TransitionCache` — memoizes the transition relation as two
-  sid-indexed *rows* per expanded state: a tuple of labels and a tuple
-  of target ids, in the interpreter's order.  The rare violating
-  transitions (failed assertions) live in a side table keyed by state
-  and edge index, so the rows carry no per-edge violation slot.
+* :class:`TransitionCache` — memoizes the transition relation as flat
+  *rows*: every edge is one slot in two ``array('i')`` buffers, its
+  target id in ``tgt`` and its label id in ``lbl``, and a state's row
+  is the contiguous run of slots from ``start[sid]`` of length
+  ``count[sid]``, in the interpreter's order.  Labels are interned once
+  per cache into a label table, so a row costs 8 bytes per edge and 12
+  per state, and none of it is a Python object the garbage collector
+  has to visit.  The rare violating transitions (failed assertions)
+  live in a side table keyed by state and row-relative edge index, so
+  the rows carry no per-edge violation slot.
 * :class:`StateGraph` — the façade the checkers share.  Build one per
   system, pass it to as many checkers as you like: checking N
   properties or N fault phases on the same architecture pays the
@@ -45,7 +50,9 @@ in its parent's row that targets it (:meth:`TransitionCache.label_of`).
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from array import array
+from itertools import repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from ..psl.interp import Interpreter, TransitionLabel
 from ..psl.state import State
@@ -125,8 +132,9 @@ class StateStore:
 class CachedTransition(NamedTuple):
     """One memoized transition: like ``Transition`` but with an int target.
 
-    The cache stores rows, not these; :meth:`TransitionCache.transitions`
-    builds them on demand for tests and external callers.
+    The cache stores flat rows, not these;
+    :meth:`TransitionCache.transitions` builds them on demand for tests
+    and external callers.
     """
 
     label: TransitionLabel
@@ -134,8 +142,28 @@ class CachedTransition(NamedTuple):
     violation: Optional[str]
 
 
-#: A memoized successor row: labels and target ids, edge for edge.
+#: A successor row as the public API returns it: labels and target ids,
+#: edge for edge (built per call from the flat buffers).
 Row = Tuple[Tuple[TransitionLabel, ...], Tuple[int, ...]]
+
+#: ``start`` entry of a state whose row has not been computed.
+UNEXPANDED = -1
+
+
+def _label_interner(labels: List[TransitionLabel],
+                    ids: Dict[TransitionLabel, int]):
+    """A ``label -> id`` function over the label table *labels*/*ids*.
+
+    A closure rather than a cache method: the JIT's namespaces hold it,
+    and through a bound method they would hold the cache itself.
+    """
+    def label_id(label: TransitionLabel) -> int:
+        lid = ids.get(label)
+        if lid is None:
+            lid = ids[label] = len(labels)
+            labels.append(label)
+        return lid
+    return label_id
 
 
 class TransitionCache:
@@ -143,93 +171,152 @@ class TransitionCache:
 
     Successor rows are computed at most once per distinct state, in the
     interpreter's deterministic order, with targets interned into the
-    shared :class:`StateStore`.  ``labels[sid]`` and ``targets[sid]``
-    hold the row of an expanded state (``None``, or past the end of the
-    list, until then); ``violations[sid]`` maps the edge index of each
-    violating transition to its message, for the few rows that have one.
+    shared :class:`StateStore`.  All rows live in two flat ``array('i')``
+    buffers written edge for edge: ``tgt[i]`` is an edge's target id and
+    ``lbl[i]`` its label id.  State *sid*'s row is the slots
+    ``start[sid] .. start[sid] + count[sid] - 1`` (``start`` is an
+    ``array('q')``, ``count`` an ``array('I')``, both sid-indexed);
+    ``start[sid]`` is :data:`UNEXPANDED` (or *sid* is past the end of
+    the array) until the row is computed.  Rows are appended in
+    expansion order, so a row's slots are contiguous but rows need not
+    follow sid order (the sharded explorer fills them wave by wave).
+
+    Labels are interned once per cache: ``labels[lid]`` is the
+    :class:`~repro.psl.interp.TransitionLabel` with id *lid*, and
+    ``label_id(label)`` maps a label to its id by value.  The JIT driver
+    registers its constant labels, memoized channel labels and
+    rendezvous labels at bind time and writes bare ids; the tree-walk
+    path and :meth:`record` intern by value.
+
+    ``violations[sid]`` maps the row-relative edge index of each
+    violating transition to its message, for the few rows that have
+    one.  The JIT driver reports a violation at its absolute slot in the
+    flat buffers; :meth:`expand` turns that into the row index.  A model
+    error part-way through a row truncates both buffers back to the
+    row's start, so the state stays unexpanded and the next
+    :meth:`successors` on it raises again.
+
+    Readers that walk many rows (the checkers in :mod:`repro.mc`) read
+    ``start``/``count``/``tgt``/``lbl`` directly, index by index, and
+    build no per-row object; :meth:`successors`, :meth:`row` and
+    :meth:`transitions` build tuples per call for everyone else.
     """
 
-    __slots__ = ("interp", "store", "labels", "targets", "violations",
-                 "_out", "_pending", "_drive", "misses")
+    __slots__ = ("interp", "store", "tgt", "lbl", "start", "count",
+                 "labels", "_label_ids", "label_id", "violations",
+                 "_pending", "_drive", "_release", "misses")
 
     def __init__(self, interp: Interpreter, store: StateStore) -> None:
         self.interp = interp
         self.store = store
-        self.labels: List[Optional[Tuple[TransitionLabel, ...]]] = []
-        self.targets: List[Optional[Tuple[int, ...]]] = []
+        self.tgt = array("i")
+        self.lbl = array("i")
+        self.start = array("q")
+        self.count = array("I")
+        self.labels: List[TransitionLabel] = []
+        self._label_ids: Dict[TransitionLabel, int] = {}
+        #: ``label_id(label)``: the id of *label* in ``labels`` (by value).
+        self.label_id = _label_interner(self.labels, self._label_ids)
         self.violations: Dict[int, Dict[int, str]] = {}
         #: Number of distinct states actually expanded by the interpreter.
         self.misses = 0
-        # A compiled interpreter provides a fused driver that interns
-        # targets itself and appends them to ``_out`` (and any violation
-        # to ``_pending``) while returning the labels.
-        self._out: List[int] = []
+        # A compiled interpreter provides a fused driver that appends
+        # label and target ids straight onto the flat buffers (and any
+        # violation's absolute slot to ``_pending``).
         self._pending: List[Tuple[int, str]] = []
+        self._drive = self._release = None
         bind_engine = getattr(interp, "bind_engine", None)
-        self._drive = None if bind_engine is None else bind_engine(
-            store, self._out.append, self._pending.append)
+        if bind_engine is not None:
+            self._drive, self._release = bind_engine(
+                store, self.tgt, self.lbl, self.label_id,
+                self._pending.append)
 
-    def expand(self, sid: int) -> Tuple[int, ...]:
-        """Compute and memoize *sid*'s row; return its targets."""
+    def __del__(self) -> None:
+        # The driver's generated code sits in function <-> namespace
+        # cycles that reference the store and the buffers; only a full
+        # collection would free them.  Break them now, so a dropped
+        # graph gives its memory back at once.
+        if getattr(self, "_release", None) is not None:
+            self._release()
+
+    def expand(self, sid: int) -> int:
+        """Compute and memoize *sid*'s row; return its edge count."""
         state = self.store._states[sid]
-        violations = None
-        if self._drive is not None:
-            out, pending = self._out, self._pending
-            try:
-                labels = tuple(self._drive(state))
-                targets = tuple(out)
-                if pending:
-                    violations = dict(pending)
-            finally:
-                # Also after a model error part-way through the row, so
-                # the next expansion starts from empty lists.
-                out.clear()
-                pending.clear()
-        else:
+        tgt = self.tgt
+        if self._drive is None:
             transitions = self.interp.transitions(state)
-            labels = tuple([t.label for t in transitions])
             intern = self.store.intern
-            targets = tuple([intern(t.target) for t in transitions])
-            violations = {i: t.violation for i, t in enumerate(transitions)
-                          if t.violation}
-        self.record(sid, labels, targets, violations)
-        return targets
+            self.record(sid, [t.label for t in transitions],
+                        [intern(t.target) for t in transitions],
+                        {i: t.violation for i, t in enumerate(transitions)
+                         if t.violation})
+            return len(transitions)
+        first = len(tgt)
+        pending = self._pending
+        try:
+            self._drive(state)
+        except BaseException:
+            # A model error part-way through the row: drop its edges so
+            # the buffers hold only complete rows.
+            del tgt[first:]
+            del self.lbl[first:]
+            pending.clear()
+            raise
+        n = len(tgt) - first
+        self._set_row(sid, first, n)
+        if pending:
+            self.violations[sid] = {i - first: message
+                                    for i, message in pending}
+            pending.clear()
+        return n
 
-    def record(self, sid: int, labels: Tuple[TransitionLabel, ...],
-               targets: Tuple[int, ...],
+    def _set_row(self, sid: int, first: int, n: int) -> None:
+        start = self.start
+        if sid == len(start):  # the dense walks' case
+            start.append(first)
+            self.count.append(n)
+        else:
+            short = sid + 1 - len(start)
+            if short > 0:
+                start.extend(repeat(UNEXPANDED, short))
+                self.count.extend(repeat(0, short))
+            start[sid] = first
+            self.count[sid] = n
+        self.misses += 1
+
+    def record(self, sid: int, labels: Iterable[TransitionLabel],
+               targets: Iterable[int],
                violations: Optional[Dict[int, str]] = None) -> None:
         """Store an expanded row (``violations``: edge index -> message)."""
-        rows = self.targets
-        if sid == len(rows):
-            rows.append(targets)
-            self.labels.append(labels)
-        else:
-            if sid > len(rows):
-                pad = [None] * (sid - len(rows) + 1)
-                rows.extend(pad)
-                self.labels.extend(pad)
-            rows[sid] = targets
-            self.labels[sid] = labels
+        tgt = self.tgt
+        first = len(tgt)
+        tgt.extend(targets)
+        self.lbl.extend(map(self.label_id, labels))
+        self._set_row(sid, first, len(tgt) - first)
         if violations:
             self.violations[sid] = violations
-        self.misses += 1
+
+    def is_expanded(self, sid: int) -> bool:
+        return sid < len(self.start) and self.start[sid] != UNEXPANDED
+
+    def span(self, sid: int) -> Tuple[int, int]:
+        """``(first slot, edge count)`` of *sid*'s row, expanding it on first use."""
+        start = self.start
+        if sid >= len(start) or start[sid] == UNEXPANDED:
+            self.expand(sid)
+        return start[sid], self.count[sid]
 
     def successors(self, sid: int) -> Tuple[int, ...]:
         """The target ids of *sid*'s row, expanding it on first use."""
-        rows = self.targets
-        if sid < len(rows):
-            targets = rows[sid]
-            if targets is not None:
-                return targets
-        return self.expand(sid)
+        first, n = self.span(sid)
+        return tuple(self.tgt[first:first + n])
 
     def row(self, sid: int) -> Row:
         """``(labels, targets)`` of *sid*, expanding it on first use."""
-        targets = self.successors(sid)
-        return self.labels[sid], targets
-
-    def is_expanded(self, sid: int) -> bool:
-        return sid < len(self.targets) and self.targets[sid] is not None
+        first, n = self.span(sid)
+        labels = self.labels
+        return (tuple([labels[lid] for lid in self.lbl[first:first + n]]),
+                tuple(self.tgt[first:first + n]))
 
     def label_of(self, src: int, dst: int) -> TransitionLabel:
         """The label of the first edge of *src*'s row that targets *dst*.
@@ -237,7 +324,12 @@ class TransitionCache:
         In a breadth-first walk that edge is the one that discovered
         *dst*, so a parent map of bare ids rebuilds traces exactly.
         """
-        return self.labels[src][self.targets[src].index(dst)]
+        first = self.start[src]
+        tgt = self.tgt
+        for i in range(first, first + self.count[src]):
+            if tgt[i] == dst:
+                return self.labels[self.lbl[i]]
+        raise ValueError(f"state {dst} is not a successor of {src}")
 
     def transitions(self, sid: int) -> Tuple[CachedTransition, ...]:
         """*sid*'s row as :class:`CachedTransition` tuples (built per call)."""
@@ -360,15 +452,17 @@ class StateGraph:
                 obs.finish(ok=True, stats=stats)
             return len(self.store)
 
-        successors = self.cache.successors
+        span = self.cache.span
+        tgt = self.cache.tgt
         while queue:
             sid = queue.pop()
-            targets = successors(sid)
+            first, n = span(sid)
             expanded += 1
-            ntrans += len(targets)
+            ntrans += n
             if obs is not None:
                 obs.tick(len(self.store), expanded, ntrans, len(queue))
-            for target in targets:
+            for i in range(first, first + n):
+                target = tgt[i]
                 if target not in seen:
                     seen.add(target)
                     if max_states is not None and len(seen) >= max_states:

@@ -53,7 +53,7 @@ from .budget import (  # noqa: F401  (re-exported for backward compatibility)
     StateLimitExceeded,
     TimeLimitExceeded,
 )
-from .engine import StateGraph, as_graph
+from .engine import UNEXPANDED, StateGraph, as_graph
 from .props import Prop, StateView
 from .result import (
     Statistics,
@@ -128,6 +128,18 @@ def _sample_frontier(stats: Statistics, queue: "deque[int]") -> None:
         size += len(queue) * sys.getsizeof(queue[0])
     if size > stats.peak_frontier_bytes:
         stats.peak_frontier_bytes = size
+
+
+def _sample_dense_frontier(stats: Statistics, max_frontier: int) -> None:
+    """Record the footprint a deque frontier of *max_frontier* ids has.
+
+    The dense walks keep their frontier as an id range, not a deque;
+    this reports what the general loop's deque would have held at that
+    peak, sized with one shared int (every int id in a deque costs the
+    same ``sys.getsizeof``) instead of building the ids themselves.
+    """
+    if max_frontier > 1:
+        _sample_frontier(stats, deque(repeat(0, max_frontier)))
 
 
 #: Parent-map slot of a state not yet discovered.
@@ -319,14 +331,15 @@ def sweep_safety(
 
     # Hot-loop bindings: the BFS below visits every memoized edge of
     # every reachable state, so attribute lookups and delegation frames
-    # are hoisted out of the loop and the memo rows are read directly.
+    # are hoisted out of the loop and the memo's flat rows are read
+    # directly, slot by slot (see TransitionCache).
     # ``unbounded`` budgets skip the per-state poll entirely —
     # ``Budget.exceeded`` can never fire without limits.  Parent maps
     # hold bare state ids; traces recover labels from the memo rows
     # (see :func:`_rebuild_trace`).
     cache = graph.cache
     expand = cache.expand
-    rows = cache.targets
+    starts, counts, tgt = cache.start, cache.count, cache.tgt
     violations = cache.violations
     store_states = graph.store._states
     state_of = graph.store.state
@@ -363,7 +376,11 @@ def sweep_safety(
     # target receives the next dense id — so the frontier is the
     # integer range [expanded, stored), "is this target new?" is a
     # single integer comparison, and the parent map is an append-only
-    # array.  The deque and the per-target probes disappear.
+    # array.  The deque and the per-target probes disappear, and so do
+    # the row reads: the targets a row discovered are exactly the ids
+    # its expansion interned, in edge order, so only a row with a
+    # violating edge is read back (to interleave assertion and
+    # invariant failures in edge order).
     # Verdicts, traces, and statistics are identical to the general
     # loop below (the differential and cold≡warm suites pin this); the
     # general loop remains the only path for warm graphs (whose
@@ -371,39 +388,46 @@ def sweep_safety(
     # budgeted runs, and instrumented runs.
     if (cache._drive is not None and obs is None and unbounded
             and len(store_states) == 1 and not len(cache)):
-        parents = array("q", [initial])
+        parents = array("i", [initial])
         append_parent = parents.append
         sid = 0
         with _gc_paused():
             while sid < n_stored:
-                targets = expand(sid)
-                n_trans += len(targets)
+                n = expand(sid)
+                n_trans += n
                 n_expanded += 1
-                if not targets and check_deadlock \
+                if not n and check_deadlock \
                         and not graph.is_valid_end_state(sid) \
                         and deadlock(sid):
                     return done()
                 viol = (violations.get(sid)
                         if violations and check_assertions else None)
-                for i, target in enumerate(targets):
-                    if viol is not None and i in viol \
-                            and assertion(sid, i, viol[i]):
-                        return done()
-                    if target >= n_stored:
+                if viol is None:
+                    for target in range(n_stored, len(store_states)):
                         append_parent(sid)
                         n_stored += 1
                         if inv_fns and violates_invariant(target):
                             return done()
+                else:
+                    first = starts[sid]
+                    for i in range(n):
+                        if i in viol and assertion(sid, i, viol[i]):
+                            return done()
+                        target = tgt[first + i]
+                        if target >= n_stored:
+                            append_parent(sid)
+                            n_stored += 1
+                            if inv_fns and violates_invariant(target):
+                                return done()
                 frontier = n_stored - sid - 1
                 if frontier > max_frontier:
                     max_frontier = frontier
                 sid += 1
-        if max_frontier > 1:
-            _sample_frontier(stats, deque(range(max_frontier)))
+        _sample_dense_frontier(stats, max_frontier)
         stats.elapsed_seconds = time.perf_counter() - start
         return done()
 
-    parents = array("q", repeat(_UNSEEN, len(store_states)))
+    parents = array("i", repeat(_UNSEEN, len(store_states)))
     parents[initial] = initial
     exhausted: Optional[str] = None
     while queue:
@@ -416,26 +440,29 @@ def sweep_safety(
             if exhausted is not None:
                 break
         sid = popleft()
-        targets = rows[sid] if sid < len(rows) else None
-        if targets is None:
-            targets = expand(sid)
+        first = starts[sid] if sid < len(starts) else UNEXPANDED
+        if first == UNEXPANDED:
+            expand(sid)
+            first = starts[sid]
             _grow(parents, len(store_states))
-        n_trans += len(targets)
+        n = counts[sid]
+        n_trans += n
         n_expanded += 1
         if obs is not None:
             flush()
             obs.tick(n_stored, n_expanded, n_trans, len(queue))
 
-        if not targets and check_deadlock \
+        if not n and check_deadlock \
                 and not graph.is_valid_end_state(sid) and deadlock(sid):
             return done()
 
         viol = violations.get(sid) if violations and check_assertions \
             else None
-        for i, target in enumerate(targets):
-            if viol is not None and i in viol \
-                    and assertion(sid, i, viol[i]):
+        for i in range(first, first + n):
+            if viol is not None and i - first in viol \
+                    and assertion(sid, i - first, viol[i - first]):
                 return done()
+            target = tgt[i]
             if parents[target] != _UNSEEN:
                 continue
             parents[target] = sid
@@ -491,7 +518,7 @@ def count_states(
     _sample_frontier(stats, queue)
     cache = graph.cache
     expand = cache.expand
-    rows = cache.targets
+    starts, counts, tgt = cache.start, cache.count, cache.tgt
     store_states = graph.store._states
     unbounded = budget.unbounded
     popleft = queue.popleft
@@ -510,15 +537,14 @@ def count_states(
         sid = 0
         with _gc_paused():
             while sid < len(store_states):
-                n_trans += len(expand(sid))
+                n_trans += expand(sid)
                 n_expanded += 1
                 frontier = len(store_states) - sid - 1
                 if frontier > max_frontier:
                     max_frontier = frontier
                 sid += 1
         n_stored = len(store_states)
-        if max_frontier > 1:
-            _sample_frontier(stats, deque(range(max_frontier)))
+        _sample_dense_frontier(stats, max_frontier)
         stats.states_stored = n_stored
         stats.states_expanded = n_expanded
         stats.transitions = n_trans
@@ -529,13 +555,15 @@ def count_states(
     exhausted: Optional[str] = None
     while queue and exhausted is None:
         sid = popleft()
-        targets = rows[sid] if sid < len(rows) else None
-        if targets is None:
-            targets = expand(sid)
+        first = starts[sid] if sid < len(starts) else UNEXPANDED
+        if first == UNEXPANDED:
+            expand(sid)
+            first = starts[sid]
         n_expanded += 1
         if obs is not None:
             obs.tick(n_stored, n_expanded, n_trans, len(queue))
-        for target in targets:
+        for i in range(first, first + counts[sid]):
+            target = tgt[i]
             n_trans += 1
             if target not in seen:
                 seen_add(target)
@@ -580,9 +608,12 @@ def reachable_states(
     seen = {initial}
     order = [initial]
     queue: deque[int] = deque([initial])
+    span = graph.cache.span
+    tgt = graph.cache.tgt
     while queue:
-        sid = queue.popleft()
-        for target in graph.successors(sid):
+        first, n = span(queue.popleft())
+        for i in range(first, first + n):
+            target = tgt[i]
             if target not in seen:
                 seen.add(target)
                 order.append(target)
@@ -636,7 +667,7 @@ def find_state(
 
     cache = graph.cache
     expand = cache.expand
-    rows = cache.targets
+    starts, counts, tgt = cache.start, cache.count, cache.tgt
     store_states = graph.store._states
     state_of = graph.store.state
     unbounded = budget.unbounded
@@ -648,7 +679,7 @@ def find_state(
     # parent map is an append-only array.
     if (cache._drive is not None and obs is None and unbounded
             and len(store_states) == 1 and not len(cache)):
-        parents = array("q", [initial])
+        parents = array("i", [initial])
         append_parent = parents.append
         sid = 0
         with _gc_paused():
@@ -664,7 +695,7 @@ def find_state(
                 sid += 1
         return found(None)
 
-    parents = array("q", repeat(_UNSEEN, len(store_states)))
+    parents = array("i", repeat(_UNSEEN, len(store_states)))
     parents[initial] = initial
     popleft = queue.popleft
     push = queue.append
@@ -673,11 +704,13 @@ def find_state(
         expanded += 1
         if obs is not None:
             obs.tick(stored, expanded, 0, len(queue))
-        targets = rows[sid] if sid < len(rows) else None
-        if targets is None:
-            targets = expand(sid)
+        first = starts[sid] if sid < len(starts) else UNEXPANDED
+        if first == UNEXPANDED:
+            expand(sid)
+            first = starts[sid]
             _grow(parents, len(store_states))
-        for target in targets:
+        for i in range(first, first + counts[sid]):
+            target = tgt[i]
             if parents[target] != _UNSEEN:
                 continue
             parents[target] = sid

@@ -22,30 +22,30 @@ for liveness properties on systems small enough to afford that.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from ..obs.events import RunInstrument
-from ..psl.interp import TransitionLabel
 from .buchi import BuchiAutomaton
 from .budget import Budget
 from .engine import StateGraph
-from .ndfs import _Product, _STUTTER
+from .ndfs import STUTTER_ID, ProductEdge, _Product
 from .props import Prop
 
-#: A fair product node: (state id, Büchi state id, counter, wrap flag).
-FairNode = Tuple[int, int, int, bool]
+#: A fair product node: ``(plain * (N + 1) + i) * 2 + wrapped`` for a
+#: plain product node, counter *i* and wrap flag (``N`` processes).
+FairNode = int
 
 
 class FairProduct:
     """Weakly-fair synchronous product, NDFS-compatible.
 
     Wraps the plain :class:`~repro.mc.ndfs._Product` and unfolds it with
-    the fairness counter.  Node layout: ``(s, q, i, wrapped)`` where
-    ``i = 0`` is the reset copy, ``i = k`` (1-based) waits for process
-    ``k - 1`` to execute or be disabled, and ``wrapped`` marks the
-    single step on which a full fair round completed.  System states are
-    interned :class:`~repro.mc.engine.StateGraph` ids, so the unfolded
-    nodes stay small-int tuples.
+    the fairness counter.  A node packs ``(s, q, i, wrapped)`` into one
+    int (see :data:`FairNode`), where ``i = 0`` is the reset copy,
+    ``i = k`` (1-based) waits for process ``k - 1`` to execute or be
+    disabled, and ``wrapped`` marks the single step on which a full
+    fair round completed.  Process sets (the movers of a transition, the
+    processes enabled in a state) are int bitmasks over pids.
     """
 
     def __init__(self, graph: StateGraph, automaton: BuchiAutomaton,
@@ -55,52 +55,62 @@ class FairProduct:
         self._plain = _Product(graph, automaton, props, budget=budget,
                                instrument=instrument)
         self.graph = graph
-        self.interp = graph.interp
         self.automaton = automaton
         self.n_procs = len(graph.system.instances)
+        #: Node stride of one plain node (counter values x wrap flag).
+        self._width = 2 * (self.n_procs + 1)
         self.stats = self._plain.stats
-        self._enabled_cache: Dict[int, FrozenSet[int]] = {}
+        self._enabled_cache: Dict[int, int] = {}
+        self._movers_cache: Dict[int, int] = {STUTTER_ID: 0}
 
     # -- helpers ---------------------------------------------------------
 
-    def _enabled_pids(self, sid: int) -> FrozenSet[int]:
+    def _movers(self, lid: int) -> int:
+        """Bitmask of the processes a transition with label *lid* moves."""
+        movers = self._movers_cache.get(lid)
+        if movers is None:
+            label = self.graph.cache.labels[lid]
+            movers = 1 << label.pid
+            if label.partner_pid is not None:
+                movers |= 1 << label.partner_pid
+            self._movers_cache[lid] = movers
+        return movers
+
+    def _enabled_pids(self, sid: int) -> int:
+        """Bitmask of the processes with a transition enabled in *sid*."""
         cached = self._enabled_cache.get(sid)
         if cached is None:
-            pids = set()
-            for label in self.graph.row(sid)[0]:
-                pids.add(label.pid)
-                if label.partner_pid is not None:
-                    pids.add(label.partner_pid)
-            cached = frozenset(pids)
+            cache = self.graph.cache
+            first = self._plain.first_slot(sid)
+            lbl = cache.lbl
+            cached = 0
+            for i in range(first, first + cache.count[sid]):
+                cached |= self._movers(lbl[i])
             self._enabled_cache[sid] = cached
         return cached
-
-    @staticmethod
-    def _movers(label: TransitionLabel) -> FrozenSet[int]:
-        if label is _STUTTER:
-            return frozenset()
-        if label.partner_pid is not None:
-            return frozenset({label.pid, label.partner_pid})
-        return frozenset({label.pid})
 
     # -- NDFS interface -----------------------------------------------------
 
     def initial_nodes(self) -> List[FairNode]:
-        return [
-            (s, qid, 0, False) for (s, qid) in self._plain.initial_nodes()
-        ]
+        return [node * self._width for node in self._plain.initial_nodes()]
 
     def is_accepting(self, node: FairNode) -> bool:
-        return node[3]
+        return bool(node & 1)
 
-    def successors(self, node: FairNode) -> Iterator[
-        Tuple[TransitionLabel, FairNode]
-    ]:
-        sid, qid, counter, _wrapped = node
-        q_accepting = self._plain.by_id[qid].accepting
+    def sid_of(self, node: FairNode) -> int:
+        return self._plain.sid_of(node // self._width)
+
+    def successors(self, node: FairNode) -> Iterator[ProductEdge]:
+        plain_node, rest = divmod(node, self._width)
+        counter = rest >> 1
+        plain = self._plain
+        sid, qid = divmod(plain_node, plain.n_q)
+        q_accepting = plain.accepting[qid]
         enabled = self._enabled_pids(sid)
-        for label, (target, q2) in self._plain.successors((sid, qid)):
-            movers = self._movers(label)
+        n_procs = self.n_procs
+        width = self._width
+        for lid, succ in plain.successors(plain_node):
+            movers = self._movers(lid)
             if counter == 0:
                 # Start a fair round at each Büchi-accepting state.
                 j = 1 if q_accepting else 0
@@ -109,17 +119,16 @@ class FairProduct:
                 j = self._advance(j, movers, enabled)
             else:
                 j = self._advance(counter, movers, enabled)
-            if j > self.n_procs:
-                yield label, (target, q2, 0, True)
+            if j > n_procs:
+                yield lid, succ * width + 1
             else:
-                yield label, (target, q2, j, False)
+                yield lid, (succ * width) + 2 * j
 
-    def _advance(self, j: int, movers: FrozenSet[int],
-                 enabled: FrozenSet[int]) -> int:
+    def _advance(self, j: int, movers: int, enabled: int) -> int:
         """Advance the counter past every satisfied process index."""
         while 1 <= j <= self.n_procs:
-            pid = j - 1
-            if pid in movers or pid not in enabled:
+            bit = 1 << (j - 1)
+            if movers & bit or not enabled & bit:
                 j += 1
             else:
                 break

@@ -23,16 +23,19 @@ LTL semantics to deadlocking runs (SPIN's "trailing stutter").
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from ..obs.events import RunInstrument
 from ..obs.reporters import Reporter
 from ..psl.interp import Interpreter, TransitionLabel
 from ..psl.system import System
-from .buchi import BuchiAutomaton, BuchiState, ltl_to_buchi
+from .buchi import BuchiAutomaton, ltl_to_buchi
 from .budget import Budget
-from .engine import StateGraph, as_graph
+from .engine import UNEXPANDED, StateGraph, as_graph
 from .ltl import Formula, negate, parse_ltl
 from .props import Prop
 from .result import (
@@ -43,12 +46,21 @@ from .result import (
     VIOLATION_ACCEPTANCE_CYCLE,
 )
 
-#: A product node: (interned system state id, Büchi state id).
-ProductNode = Tuple[int, int]
+#: A product node: ``sid * n_q + q`` for interned system state id
+#: *sid* and Büchi state id *q* (``n_q`` Büchi states).
+ProductNode = int
+
+#: A product edge as the search keeps it: the memo's label id of the
+#: system transition (:data:`STUTTER_ID` for a deadlock's stutter) and
+#: the target node.  Labels are resolved only when a lasso is built.
+ProductEdge = Tuple[int, ProductNode]
 
 _STUTTER = TransitionLabel(
     pid=-1, process="(system)", kind="stutter", desc="deadlock stutter"
 )
+
+#: Label id of the stutter edge (outside the memo's label table).
+STUTTER_ID = -1
 
 
 class _BudgetHit(Exception):
@@ -63,9 +75,16 @@ class _Product:
     """On-the-fly product of a system with a state-labeled Büchi automaton.
 
     System states are handled as interned ids of a shared
-    :class:`~repro.mc.engine.StateGraph`, so product nodes are cheap
-    ``(int, int)`` pairs and successor generation hits the graph's
-    memoized transition relation.
+    :class:`~repro.mc.engine.StateGraph`, and a product node is one int,
+    ``sid * n_q + q``, so the search's color sets hold small ints and
+    successor generation reads the graph's flat memo rows slot by slot.
+
+    A system state's proposition values are one int bitmask (bit *k*
+    for the *k*-th atom the automaton mentions), computed the first
+    time the state is reached, in edge order — which keeps budgeted
+    partial runs identical, since that is where the budget is polled.
+    Each Büchi state's admissible successors are tabulated per bitmask
+    the first time a state with that bitmask is valued.
     """
 
     def __init__(
@@ -77,73 +96,139 @@ class _Product:
         instrument: Optional[RunInstrument] = None,
     ) -> None:
         self.graph = graph
-        self.interp = graph.interp
         self.automaton = automaton
-        self.props = props
         self.budget = budget
         self.instrument = instrument
-        self.by_id: Dict[int, BuchiState] = {s.id: s for s in automaton.states}
-        self._val_cache: Dict[int, Dict[str, bool]] = {}
         self.stats = Statistics()
+        self.n_q = len(automaton.states)
+        atoms = sorted({name for q in automaton.states
+                        for name in q.positive | q.negative})
+        bit = {name: 1 << k for k, name in enumerate(atoms)}
+        #: (bit, prop) per atom the props bind (an unbound atom is false).
+        self._atoms = [(bit[name], props[name]) for name in atoms
+                       if name in props]
+        #: (positive bits, negative bits) per Büchi state id.
+        self._literals = [(0, 0)] * self.n_q
+        self.accepting = [False] * self.n_q
+        for q in automaton.states:
+            self._literals[q.id] = (sum(bit[n] for n in q.positive),
+                                    sum(bit[n] for n in q.negative))
+            self.accepting[q.id] = q.accepting
+        #: ``_next[q][mask]``: ids of q's successors a state with
+        #: proposition bitmask *mask* admits, in automaton order.
+        self._next: List[Dict[int, Tuple[int, ...]]] = [
+            {} for _ in range(self.n_q)]
+        self._tabled: Set[int] = set()
+        #: Proposition bitmask per sid, -1 until the state is valued.
+        self.masks = array("q") if len(atoms) < 63 else []
+        #: Distinct system states valued so far (= stored states).
+        self.n_valued = 0
+        self._grow()
 
-    def valuation(self, sid: int) -> Dict[str, bool]:
-        cached = self._val_cache.get(sid)
-        if cached is None:
-            state = self.graph.state(sid)
-            cached = {
-                name: p.evaluate(self.interp.system, state)
-                for name, p in self.props.items()
-            }
-            self._val_cache[sid] = cached
-            if self.instrument is not None:
-                stored = len(self._val_cache)
-                self.instrument.tick(stored, stored,
-                                     self.stats.transitions, 0)
-            if self.budget is not None:
-                # Every distinct system state passes through here exactly
-                # once, so the valuation cache is the stored-state count.
-                marker = self.budget.exceeded(len(self._val_cache))
-                if marker is not None:
-                    raise _BudgetHit(marker)
-        return cached
+    def _grow(self) -> None:
+        """Cover every interned state id in ``masks`` (as unvalued)."""
+        short = len(self.graph.store) - len(self.masks)
+        if short > 0:
+            self.masks.extend(repeat(-1, short))
+
+    def first_slot(self, sid: int) -> int:
+        """The first slot of *sid*'s memo row, expanding it if need be."""
+        starts = self.graph.cache.start
+        first = starts[sid] if sid < len(starts) else UNEXPANDED
+        if first == UNEXPANDED:
+            self.graph.cache.expand(sid)
+            self._grow()
+            first = starts[sid]
+        return first
+
+    def _value(self, sid: int) -> int:
+        """Compute, store and return *sid*'s proposition bitmask."""
+        system = self.graph.system
+        state = self.graph.store._states[sid]
+        mask = 0
+        for bit, prop in self._atoms:
+            if prop.evaluate(system, state):
+                mask |= bit
+        self.masks[sid] = mask
+        if mask not in self._tabled:
+            self._tabled.add(mask)
+            succ = self.automaton.successors
+            for q in range(self.n_q):
+                self._next[q][mask] = tuple([
+                    r.id for r in succ[q] if self._admits(r.id, mask)])
+        self.n_valued += 1
+        if self.instrument is not None:
+            stored = self.n_valued
+            self.instrument.tick(stored, stored, self.stats.transitions, 0)
+        if self.budget is not None:
+            # Every distinct system state is valued exactly once, so
+            # the valued count is the stored-state count.
+            marker = self.budget.exceeded(self.n_valued)
+            if marker is not None:
+                raise _BudgetHit(marker)
+        return mask
 
     def initial_nodes(self) -> List[ProductNode]:
         s0 = self.graph.initial_id
         self.stats.states_stored += 1
-        v0 = self.valuation(s0)
-        return [
-            (s0, q.id) for q in self.automaton.initial if q.satisfied_by(v0)
-        ]
+        mask = self.masks[s0]
+        if mask < 0:
+            mask = self._value(s0)
+        return [s0 * self.n_q + q.id for q in self.automaton.initial
+                if self._admits(q.id, mask)]
 
-    def successors(
-        self, node: ProductNode
-    ) -> Iterator[Tuple[TransitionLabel, ProductNode]]:
-        sid, qid = node
-        labels, targets = self.graph.row(sid)
-        self.stats.transitions += len(targets)
-        if targets:
-            moves: Iterable[Tuple[TransitionLabel, int]] = zip(labels, targets)
-        else:
-            moves = [(_STUTTER, sid)]  # stutter extension
-        buchi_next = self.automaton.successors[qid]
-        for label, target in moves:
-            valuation = self.valuation(target)
-            for q in buchi_next:
-                if q.satisfied_by(valuation):
-                    yield label, (target, q.id)
+    def _admits(self, qid: int, mask: int) -> bool:
+        """Does proposition bitmask *mask* satisfy Büchi state *qid*?"""
+        pos, neg = self._literals[qid]
+        return mask & pos == pos and not mask & neg
+
+    def successors(self, node: ProductNode) -> Iterator[ProductEdge]:
+        sid, q = divmod(node, self.n_q)
+        cache = self.graph.cache
+        first = self.first_slot(sid)
+        n = cache.count[sid]
+        self.stats.transitions += n
+        nxt = self._next[q]
+        n_q = self.n_q
+        masks = self.masks
+        if not n:  # stutter extension
+            for q2 in nxt[masks[sid]]:
+                yield STUTTER_ID, sid * n_q + q2
+            return
+        tgt, lbl = cache.tgt, cache.lbl
+        for i in range(first, first + n):
+            target = tgt[i]
+            mask = masks[target]
+            if mask < 0:
+                mask = self._value(target)
+            for q2 in nxt[mask]:
+                yield lbl[i], target * n_q + q2
 
     def is_accepting(self, node: ProductNode) -> bool:
-        return self.by_id[node[1]].accepting
+        return self.accepting[node % self.n_q]
+
+    def sid_of(self, node: ProductNode) -> int:
+        return node // self.n_q
+
+    def label(self, lid: int) -> TransitionLabel:
+        """The label behind a product edge's label id."""
+        return _STUTTER if lid == STUTTER_ID else self.graph.cache.labels[lid]
 
 
 @dataclass
 class _Lasso:
-    stem: List[Tuple[TransitionLabel, ProductNode]]
-    cycle: List[Tuple[TransitionLabel, ProductNode]]
+    stem: List[ProductEdge]
+    cycle: List[ProductEdge]
 
 
-def _ndfs(product: _Product) -> Optional[_Lasso]:
-    """Iterative nested DFS; returns a lasso if an accepting cycle exists."""
+def _ndfs(product) -> Optional[_Lasso]:
+    """Iterative nested DFS; returns a lasso if an accepting cycle exists.
+
+    *product* is a :class:`_Product` or a
+    :class:`~repro.mc.fairness.FairProduct`: int nodes,
+    ``successors(node)`` yielding :data:`ProductEdge` pairs, and
+    ``is_accepting(node)``.
+    """
     blue: set = set()
     red: set = set()
 
@@ -157,33 +242,35 @@ def _ndfs(product: _Product) -> Optional[_Lasso]:
 
 
 def _blue_dfs(
-    product: _Product, root: ProductNode, blue: set, red: set
+    product, root: ProductNode, blue: set, red: set
 ) -> Optional[_Lasso]:
     # Stack entries: (node, iterator over successors)
     cyan: set = {root}
-    path: List[Tuple[TransitionLabel, ProductNode]] = []  # edge into each node
-    stack: List[Tuple[ProductNode, Iterator]] = [(root, product.successors(root))]
+    path: List[ProductEdge] = []  # edge into each node
+    successors = product.successors
+    accepting = product.is_accepting
+    stack: List[Tuple[ProductNode, Iterator]] = [(root, successors(root))]
 
     while stack:
         node, it = stack[-1]
         advanced = False
-        for label, succ in it:
-            if succ in cyan and (product.is_accepting(node) or product.is_accepting(succ)):
+        for lid, succ in it:
+            if succ in cyan and (accepting(node) or accepting(succ)):
                 # Early cycle detection against the blue stack.
-                cycle = _cut_cycle(path, root, succ) + [(label, succ)]
+                cycle = _cut_cycle(path, root, succ) + [(lid, succ)]
                 stem = _cut_stem(path, root, succ)
                 return _Lasso(stem=stem, cycle=cycle)
             if succ not in blue and succ not in cyan:
                 cyan.add(succ)
-                path.append((label, succ))
-                stack.append((succ, product.successors(succ)))
+                path.append((lid, succ))
+                stack.append((succ, successors(succ)))
                 advanced = True
                 break
         if advanced:
             continue
         # Post-order on `node`.
         stack.pop()
-        if product.is_accepting(node):
+        if accepting(node):
             hit = _red_dfs(product, node, cyan, red)
             if hit is not None:
                 red_path, target = hit
@@ -201,22 +288,22 @@ def _blue_dfs(
 
 
 def _cut_stem(
-    path: List[Tuple[TransitionLabel, ProductNode]], root: ProductNode, target: ProductNode
-) -> List[Tuple[TransitionLabel, ProductNode]]:
+    path: List[ProductEdge], root: ProductNode, target: ProductNode
+) -> List[ProductEdge]:
     """Prefix of the blue path from root up to (and including) target."""
     if target == root:
         return []
     out = []
-    for label, node in path:
-        out.append((label, node))
+    for lid, node in path:
+        out.append((lid, node))
         if node == target:
             break
     return out
 
 
 def _cut_cycle(
-    path: List[Tuple[TransitionLabel, ProductNode]], root: ProductNode, start: ProductNode
-) -> List[Tuple[TransitionLabel, ProductNode]]:
+    path: List[ProductEdge], root: ProductNode, start: ProductNode
+) -> List[ProductEdge]:
     """Suffix of the blue path strictly after `start` (start -> ... -> top)."""
     if start == root:
         return list(path)
@@ -227,29 +314,30 @@ def _cut_cycle(
 
 
 def _red_dfs(
-    product: _Product, seed: ProductNode, cyan: set, red: set
-) -> Optional[Tuple[List[Tuple[TransitionLabel, ProductNode]], ProductNode]]:
+    product, seed: ProductNode, cyan: set, red: set
+) -> Optional[Tuple[List[ProductEdge], ProductNode]]:
     """Search from an accepting seed for the seed itself or any cyan node.
 
     Returns the red path (edges from seed) and the node hit, or None.
     """
-    path: List[Tuple[TransitionLabel, ProductNode]] = []
+    path: List[ProductEdge] = []
     on_path: set = {seed}
-    stack: List[Tuple[ProductNode, Iterator]] = [(seed, product.successors(seed))]
+    successors = product.successors
+    stack: List[Tuple[ProductNode, Iterator]] = [(seed, successors(seed))]
     visited: set = set()
 
     while stack:
         node, it = stack[-1]
         advanced = False
-        for label, succ in it:
+        for lid, succ in it:
             if succ == seed or succ in cyan:
-                path.append((label, succ))
+                path.append((lid, succ))
                 return path, succ
             if succ not in red and succ not in visited and succ not in on_path:
                 visited.add(succ)
                 on_path.add(succ)
-                path.append((label, succ))
-                stack.append((succ, product.successors(succ)))
+                path.append((lid, succ))
+                stack.append((succ, successors(succ)))
                 advanced = True
                 break
         if advanced:
@@ -309,11 +397,10 @@ def check_ltl(
         from .fairness import FairProduct
         product = FairProduct(graph, automaton, prop_map, budget=budget,
                               instrument=obs)
-        val_cache = product._plain._val_cache
+        plain = product._plain
     else:
-        product = _Product(graph, automaton, prop_map, budget=budget,
-                           instrument=obs)
-        val_cache = product._val_cache
+        product = plain = _Product(graph, automaton, prop_map,
+                                   budget=budget, instrument=obs)
     exhausted: Optional[str] = None
     try:
         lasso = _ndfs(product)
@@ -321,7 +408,7 @@ def check_ltl(
         lasso = None
         exhausted = hit.marker
     stats = product.stats
-    stats.states_stored = len(val_cache)
+    stats.states_stored = plain.n_valued
     stats.elapsed_seconds = time.perf_counter() - start
 
     fairness_note = " (under weak fairness)" if weak_fairness else ""
@@ -352,8 +439,8 @@ def check_ltl(
         )
     initial = graph.state(graph.initial_id)
     steps = [
-        TraceStep(label, graph.state(node[0]))
-        for label, node in lasso.stem + lasso.cycle
+        TraceStep(plain.label(lid), graph.state(product.sid_of(node)))
+        for lid, node in lasso.stem + lasso.cycle
     ]
     trace = Trace(initial=initial, steps=steps, cycle_start=len(lasso.stem))
     if obs is not None:

@@ -97,9 +97,12 @@ def _edge_is_invisible(
     return True
 
 
-#: A state's (possibly reduced) edges: labels, target ids, and the
-#: violation message of each violating edge by index.
-Edges = Tuple[Sequence[TransitionLabel], Sequence[int], Dict[int, str]]
+#: A state's (possibly reduced) edges: the slots of its edges, the
+#: target-id and label-id sequences those slots index, and the
+#: violation message of each violating edge by slot.  A full row reads
+#: the memo's flat buffers in place (slots are a ``range`` over the
+#: row); a reduced set lists the slots it keeps.
+Edges = Tuple[Sequence[int], Sequence[int], Sequence[int], Dict[int, str]]
 
 
 class AmpleInterpreter:
@@ -142,36 +145,45 @@ class AmpleInterpreter:
         state = graph.state(sid)
         expanded = cache.is_expanded(sid)
         intern = graph.store.intern
+        tgt, lbl = cache.tgt, cache.lbl
         for pid in range(len(self.interp.system.instances)):
             if not self._location_is_ample_candidate(pid, state.locs[pid]):
                 continue
             if expanded:
                 # The full relation is pid-ordered, so filtering by pid
                 # yields exactly the per-process transition list.
-                labels, targets = cache.row(sid)
-                violations = cache.violations.get(sid, {})
-                keep = [i for i, label in enumerate(labels) if label.pid == pid]
-                edges: Edges = (
-                    [labels[i] for i in keep],
-                    [targets[i] for i in keep],
-                    {j: violations[i] for j, i in enumerate(keep)
-                     if i in violations},
-                )
+                first, n = cache.span(sid)
+                labels = cache.labels
+                keep = [i for i in range(first, first + n)
+                        if labels[lbl[i]].pid == pid]
+                edges: Edges = (keep, tgt, lbl,
+                                self._violations(sid, first))
             else:
                 transitions = self.interp._process_transitions(state, pid)
+                label_id = cache.label_id
                 edges = (
-                    [t.label for t in transitions],
+                    range(len(transitions)),
                     [intern(t.target) for t in transitions],
+                    [label_id(t.label) for t in transitions],
                     {i: t.violation for i, t in enumerate(transitions)
                      if t.violation},
                 )
-            if not edges[1]:
+            slots, targets = edges[0], edges[1]
+            if not slots:
                 continue  # C0 fails (e.g. all guards false)
-            if any(target in on_stack for target in edges[1]):
+            if any(targets[i] in on_stack for i in slots):
                 continue  # C3 fails: would close a stack cycle
             return edges, True
-        labels, targets = cache.row(sid)
-        return (labels, targets, cache.violations.get(sid, {})), False
+        first, n = cache.span(sid)
+        return (range(first, first + n), tgt, lbl,
+                self._violations(sid, first)), False
+
+    def _violations(self, sid: int, first: int) -> Dict[int, str]:
+        """*sid*'s violating edges keyed by flat slot (row at *first*)."""
+        row = self.graph.cache.violations.get(sid)
+        if not row:
+            return {}
+        return {first + i: message for i, message in row.items()}
 
 
 def _rebuild_trace(
@@ -254,18 +266,19 @@ def check_safety_por(
                 )
             )
 
+    labels = graph.cache.labels
     parents: Dict[int, Tuple[int, Optional[TransitionLabel]]] = {
         initial: (initial, None)
     }
     on_stack: Set[int] = {initial}
     # DFS stack: (state id, pending transition list, next index)
     edges0, _ = ample.ample_transitions(initial, on_stack)
-    stats.transitions += len(edges0[1])
+    stats.transitions += len(edges0[0])
     stats.states_expanded += 1
     if obs is not None:
         obs.tick(stats.states_stored, stats.states_expanded,
-                 stats.transitions, len(edges0[1]))
-    if not edges0[1] and check_deadlock and not graph.is_valid_end_state(initial):
+                 stats.transitions, len(edges0[0]))
+    if not edges0[0] and check_deadlock and not graph.is_valid_end_state(initial):
         blocked = ", ".join(i.name for i in graph.blocked_processes(initial))
         return finish(
             VerificationResult(
@@ -280,16 +293,17 @@ def check_safety_por(
 
     while stack:
         sid, edges, idx = stack[-1]
-        labels, targets, violations = edges
-        if idx >= len(targets):
+        slots, targets, label_ids, violations = edges
+        if idx >= len(slots):
             stack.pop()
             on_stack.discard(sid)
             continue
         stack[-1] = (sid, edges, idx + 1)
-        label = labels[idx]
-        target = targets[idx]
+        slot = slots[idx]
+        label = labels[label_ids[slot]]
+        target = targets[slot]
 
-        if idx in violations:
+        if slot in violations:
             trace = _rebuild_trace(
                 graph, initial, sid, parents,
                 extra=TraceStep(label, graph.state(target)),
@@ -297,7 +311,7 @@ def check_safety_por(
             return finish(
                 VerificationResult(
                     ok=False, kind=VIOLATION_ASSERTION,
-                    message=violations[idx], trace=trace,
+                    message=violations[slot], trace=trace,
                 )
             )
         if target in parents:
@@ -336,12 +350,12 @@ def check_safety_por(
 
         on_stack.add(target)
         edges, _ = ample.ample_transitions(target, on_stack)
-        stats.transitions += len(edges[1])
+        stats.transitions += len(edges[0])
         stats.states_expanded += 1
         if obs is not None:
             obs.tick(stats.states_stored, stats.states_expanded,
                      stats.transitions, len(stack))
-        if not edges[1] and check_deadlock and not graph.is_valid_end_state(target):
+        if not edges[0] and check_deadlock and not graph.is_valid_end_state(target):
             blocked = ", ".join(i.name for i in graph.blocked_processes(target))
             trace = _rebuild_trace(graph, initial, target, parents)
             return finish(

@@ -200,8 +200,8 @@ def shard_explore(
                     for sid, succs in zip(c, result):
                         cache.record(
                             sid,
-                            tuple([label for label, _, _ in succs]),
-                            tuple([intern(tgt) for _, tgt, _ in succs]),
+                            [label for label, _, _ in succs],
+                            [intern(tgt) for _, tgt, _ in succs],
                             {i: violation
                              for i, (_, _, violation) in enumerate(succs)
                              if violation})
@@ -218,7 +218,7 @@ def shard_explore(
         # finishes the remainder, and the verdict cannot change.
         graph.explore(max_states=max_states)
         expanded = len(cache)
-        ntrans = sum(len(ts) for ts in cache.targets if ts is not None)
+        ntrans = sum(cache.count)  # 0 for every unexpanded state
         workers = 1
         return finish("sharded exploration degraded to a serial run: "
                       "the worker pool failed mid-exploration")

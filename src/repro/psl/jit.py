@@ -41,7 +41,7 @@ import os
 import re
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .compiler import (
     OpAssert,
@@ -401,19 +401,22 @@ def _emit_T(body: "_SourceWriter", ind: int, label: str,
     :class:`~repro.psl.interp.Transition` factory).  Engine mode inlines
     the state-store intern and the memo-row build into the generated
     code — the model checker's single hottest operation runs with no
-    per-transition function call and no per-transition object: the
-    label goes to ``out`` and the interned target id to the driver's
-    target list (``_TA``).  On an intern hit (the common case in a dense
-    graph) no :class:`State` is built either: raw component tuples hash
-    and compare equal to the State NamedTuple, so they share the store's
-    id map.  On a miss one State is built and serves as both the map's
-    key and the store's list entry.  The miss branch hash-conses only
-    the components this transition *built fresh*, through the store's
-    canonical tables (``_CL``/``_CF``/``_CC``/``_CG``); a component
-    read unchanged off the expanded state (a bare ``frames``, ``chans``
-    or ``G``) comes from a stored state and is already canonical, so it
-    is used as is.  A violating transition also records ``(edge index,
-    message)`` through ``_VA``; only assertion branches emit that call
+    per-transition function call and no per-transition object: *label*
+    is then a label id (registered at bind time), which goes onto
+    ``out`` — the memo's flat label buffer — and the interned target id
+    onto the flat target buffer (``_TA``).  On an intern hit (the common
+    case in a dense graph) no :class:`State` is built either: raw
+    component tuples hash and compare equal to the State NamedTuple, so
+    they share the store's id map.  On a miss one State is built and
+    serves as both the map's key and the store's list entry.  The miss
+    branch hash-conses only the components this transition *built
+    fresh*, through the store's canonical tables
+    (``_CL``/``_CF``/``_CC``/``_CG``); a component read unchanged off
+    the expanded state (a bare ``frames``, ``chans`` or ``G``) comes
+    from a stored state and is already canonical, so it is used as is.
+    A violating transition also records ``(slot, message)`` through
+    ``_VA``, where the slot is the edge's absolute index in the flat
+    buffers (``len(out)``); only assertion branches emit that call
     (``viol`` is a message name, or a d_step's runtime ``_viol``), so
     ordinary transitions pay nothing for it.
     """
@@ -972,30 +975,41 @@ def _emit_msg_fn(w, gen, pid, op, eid) -> None:
 
 
 def _label_factory(pid, process, kind, desc, chan=None, partner_pid=None,
-                   partner=None):
+                   partner=None, label_id=None):
+    """Label maker for a message-carrying edge (called once per message).
+
+    With *label_id* (engine mode) the label is registered in the memo's
+    label table and its id returned instead.
+    """
     def make(msg):
-        return TransitionLabel(pid=pid, process=process, kind=kind,
-                               desc=desc, chan=chan, message=msg,
-                               partner_pid=partner_pid, partner=partner)
+        label = TransitionLabel(pid=pid, process=process, kind=kind,
+                                desc=desc, chan=chan, message=msg,
+                                partner_pid=partner_pid, partner=partner)
+        return label if label_id is None else label_id(label)
     return make
 
 
-def _make_driver(tables: List[tuple]):
+def _make_driver(tables: List[tuple], out=None):
     """Build an unrolled whole-state driver over per-pid location tables.
 
     ``drive(state)`` calls one compiled location function per process —
     generated as straight-line code (no ``zip``, no loop) because the
     process count is fixed per system and this wrapper runs once per
-    expanded state.
+    expanded state.  It returns a fresh transition list, or, given
+    *out* (engine mode: the memo's flat label buffer), appends to that
+    and returns ``None``.
     """
     names = [f"_t{i}" for i in range(len(tables))]
     lines = ["def _drive(state):",
-             "    locs = state[0]",
-             "    out = []"]
-    lines += [f"    {name}[locs[{i}]](state, out)"
+             "    locs = state[0]"]
+    if out is None:
+        lines.append("    out = []")
+    arg = "out" if out is None else "_out"
+    lines += [f"    {name}[locs[{i}]](state, {arg})"
               for i, name in enumerate(names)]
-    lines.append("    return out")
-    ns = dict(zip(names, tables))
+    if out is None:
+        lines.append("    return out")
+    ns = dict(zip(names, tables), _out=out)
     exec(compile("\n".join(lines), "<psl-jit:driver>", "exec"), ns)
     return ns["_drive"]
 
@@ -1060,7 +1074,14 @@ class CompiledInterpreter(Interpreter):
         return program
 
     def _bind(self, program: _Program, pid: int, inst: ProcessInstance,
-              system: System, extra: Optional[dict] = None) -> dict:
+              system: System, extra: Optional[dict] = None,
+              label_id=None) -> dict:
+        """Bind one program's namespace constants and execute its code.
+
+        With *label_id* (engine mode) every label constant and label
+        factory yields the label's id in the memo's label table rather
+        than the label itself.
+        """
         ns: dict = dict(_RUNTIME)
         if extra:
             ns.update(extra)
@@ -1069,14 +1090,15 @@ class CompiledInterpreter(Interpreter):
             tag = spec[0]
             if tag == "label":
                 _, var, kind, desc = spec
-                ns[var] = TransitionLabel(pid=pid, process=name, kind=kind,
-                                          desc=desc)
+                label = TransitionLabel(pid=pid, process=name, kind=kind,
+                                        desc=desc)
+                ns[var] = label if label_id is None else label_id(label)
             elif tag == "chanlabel":
                 _, memo_var, mk_var, kind, desc, chan_param = spec
                 chan = inst.channel_for(chan_param)
                 ns[memo_var] = {}
                 ns[mk_var] = _label_factory(pid, name, kind, desc,
-                                            chan=chan.name)
+                                            chan=chan.name, label_id=label_id)
             elif tag == "vmsg":
                 _, var, where, desc = spec
                 if where == "assert":
@@ -1096,8 +1118,13 @@ class CompiledInterpreter(Interpreter):
         return ns
 
     def _link(self, system: System,
-              namespaces: Optional[List[dict]] = None) -> None:
-        """Fill rendezvous candidate tables across bound programs."""
+              namespaces: Optional[List[dict]] = None,
+              label_id=None) -> None:
+        """Fill rendezvous candidate tables across bound programs.
+
+        *label_id* (engine mode) makes the handshake label factories
+        return label ids, as in :meth:`_bind`.
+        """
         if namespaces is None:
             namespaces = self._namespaces
         n = self.n_procs
@@ -1129,6 +1156,7 @@ class CompiledInterpreter(Interpreter):
                         spid, inst.name, "handshake", desc,
                         chan=chan.name, partner_pid=rpid,
                         partner=system.instances[rpid].name,
+                        label_id=label_id,
                     )
                     candidates.append((rpid, rloc, handler, {}, mk))
                 # Tree-walk pairing order: partner pid ascending, then
@@ -1160,14 +1188,29 @@ class CompiledInterpreter(Interpreter):
                                     out: List[Transition]) -> None:
         self._steps[pid][state.locs[pid]](state, out)
 
-    def bind_engine(self, store, targets_out, violations_out) -> "callable":
+    def bind_engine(self, store, targets, labels, label_id,
+                    violations_out) -> Tuple[Callable, Callable]:
         """Bind an engine-mode driver that builds memo rows directly.
 
-        Returns ``drive(state) -> list`` of the state's transition
-        labels.  As a side effect each transition's target is interned
-        into *store* and its id passed to ``targets_out`` (a list's
-        ``append``), edge for edge; a violating transition also passes
-        ``(edge index, message)`` to ``violations_out``.  The driver
+        Returns ``(drive, release)``.  ``drive(state)`` appends
+        *state*'s row to the memo's flat buffers (see
+        :class:`~repro.mc.engine.TransitionCache`) and returns ``None``:
+        edge for edge, the transition's target is interned into *store*
+        and its id appended to *targets*, and its label id to *labels*
+        (both ``array('i')``).  Labels are registered through *label_id*
+        (label -> id in the memo's label table) while binding — the
+        constant labels, and the factories behind the memoized channel
+        and rendezvous labels, which therefore run once per distinct
+        message, not per edge.  A violating transition also passes
+        ``(slot, message)`` to ``violations_out``, where *slot* is the
+        edge's absolute index in the flat buffers; the caller turns it
+        into a row index.  ``release()`` empties the bound namespaces:
+        generated functions and their namespace reference each other,
+        so without it the store and buffers they reference outlive the
+        memo until a full garbage collection.  Call it once the driver
+        is no longer used.
+
+        The driver
         runs *engine-mode* programs: the same lowering as
         :meth:`transitions`, with the intern and the row build generated
         inline (see :func:`_emit_T`), so no per-transition call frame or
@@ -1198,23 +1241,30 @@ class CompiledInterpreter(Interpreter):
             "_CF": store._frames.setdefault,
             "_CC": store._chans.setdefault,
             "_CG": store._globals.setdefault,
-            "_TA": targets_out,
+            "_TA": targets.append,
             "_VA": violations_out,
         }
         namespaces: List[dict] = []
         tables: List[tuple] = []
         for pid, inst in enumerate(system.instances):
             program = self._obtain_program(pid, inst, system, engine=True)
-            ns = self._bind(program, pid, inst, system, extra=extra)
+            ns = self._bind(program, pid, inst, system, extra=extra,
+                            label_id=label_id)
             namespaces.append(ns)
             tables.append(ns["_STEPS"])
-        self._link(system, namespaces)
-        drive = _make_driver(tables)
+        self._link(system, namespaces, label_id=label_id)
+        drive = _make_driver(tables, out=labels)
+        namespaces.append(drive.__globals__)
+
+        def release() -> None:
+            for ns in namespaces:
+                ns.clear()
+
         elapsed = time.perf_counter() - t0
         self.compile_stats["compile_seconds"] += elapsed
         with _CACHE_LOCK:
             _CACHE_STATS["compile_seconds"] += elapsed
-        return drive
+        return drive, release
 
     # -- introspection ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Tests for repro.mc.explore: safety BFS, deadlocks, state counting."""
 
 import gc
+from collections import deque
 
 import pytest
 
@@ -17,7 +18,12 @@ from repro.mc import (
     reachable_states,
     sweep_safety,
 )
-from repro.mc.explore import _gc_paused
+from repro.mc.explore import (
+    _gc_paused,
+    _sample_dense_frontier,
+    _sample_frontier,
+)
+from repro.mc.result import Statistics
 from repro.psl.errors import ExecutionError
 from repro.psl import (
     Assert,
@@ -297,6 +303,49 @@ class TestMemoAfterModelError:
             graph.successors(graph.initial_id)
         assert len(graph.store) == 2  # the setter's target got interned
         assert graph.row(1) == ((), ())
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "tree-walk"])
+    def test_failed_expansion_truncates_the_flat_buffers(self, jit):
+        # The initial state expands cleanly (one edge); in the next
+        # state `setter`'s edge is written before `broken`'s d_step
+        # fails.  The buffers must drop that partial row, and the
+        # failed state must stay unexpanded, raising again.
+        s = System("broken")
+        s.add_global("g", 0)
+        s.add_global("h", 0)
+        s.spawn(ProcessDef("setter", Seq([Assign("g", 1),
+                                          Assign("g", 2)])), "a")
+        s.spawn(ProcessDef("broken", DStep([
+            Guard(V("g") == 1), Assign("h", 1), Guard(V("h") == 99)])), "b")
+        graph = StateGraph(s, jit=jit)
+        cache = graph.cache
+        assert len(graph.successors(graph.initial_id)) == 1
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="blocked"):
+                graph.successors(1)
+            assert not cache.is_expanded(1)
+            expanded = [sid for sid in range(len(graph.store))
+                        if cache.is_expanded(sid)]
+            assert expanded == [graph.initial_id]
+            total = sum(cache.count[sid] for sid in expanded)
+            assert len(cache.tgt) == len(cache.lbl) == total == 1
+            assert not cache.violations
+        # The driver interned the partial row's target before the error
+        # (its edge was dropped); the tree-walk path raises first.
+        assert len(graph.store) == (3 if jit else 2)
+
+
+class TestDenseFrontierSample:
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 63, 64, 65, 1_000, 26_017])
+    def test_matches_a_deque_of_ids(self, n):
+        # The dense walks once sized their peak frontier by building
+        # ``deque(range(n))``; the sample must stay byte-identical.
+        old = Statistics()
+        if n > 1:
+            _sample_frontier(old, deque(range(n)))
+        new = Statistics()
+        _sample_dense_frontier(new, n)
+        assert new.peak_frontier_bytes == old.peak_frontier_bytes
 
 
 class TestGcPause:

@@ -3,13 +3,18 @@
 Graph-owned bytes per state on the fused 2-customer selective gas
 station (28,672 states) after ``check_safety``, counted with
 ``sys.getsizeof`` and identity dedup over the store's id map and list,
-the ``State`` objects, the sid ints, and the memo's lists and rows
-(state component tuples and the shared labels excluded):
+the ``State`` objects, the sid ints, and the memo (state component
+tuples excluded).  The memo is now its flat ``array`` buffers of target
+and label ids, its sid-indexed ``start``/``count`` arrays and its label
+table (84 labels); before, it was its row lists and rows, the labels
+uncounted:
 
 * 589 B — a raw tuple as the id-map key plus a second ``State`` object
   in the list, and one ``CachedTransition`` per edge in a dict memo;
-* 307 B — one ``State`` object per state, flat label/target rows in
-  sid-indexed lists.
+* 307 B — one ``State`` object per state, a label tuple and a target
+  tuple per state in sid-indexed lists;
+* 196 B — flat rows: 8 B per edge and 12 B per state in four arrays,
+  the memo 153 → 41 B/state.
 
 Counting the component tuples too (every tuple reachable from a
 state's ``locs``/``frames``/``chans``/``globals_``, identity-deduped)
@@ -18,14 +23,17 @@ and the store's canonical component tables:
 * 516 B — each state holding private copies of most components
   (209 B of component tuples);
 * 400 B — hash-consed components, one object per distinct value
-  (70 B of component tuples plus 23 B of canonical tables).
+  (70 B of component tuples plus 23 B of canonical tables);
+* 288 B — the same, over flat memo rows.
 
 The 2-customer graph's 28,672 states hold only 17,356 distinct
 location vectors, 1,563 frame vectors, 19 channel vectors and 9 global
 vectors; with hash-consing, that is also how many objects there are.
 """
 
+import gc
 import sys
+import weakref
 
 import pytest
 
@@ -33,13 +41,13 @@ from repro.mc import StateGraph, check_safety, check_safety_por
 from repro.systems.gas_station import build_gas_station
 
 #: Ceiling on graph-owned bytes per state, component tuples excluded
-#: (measured 307 on CPython 3.11).
-MAX_BYTES_PER_STATE = 350
+#: (measured 196 on CPython 3.11; 307 with tuple rows).
+MAX_BYTES_PER_STATE = 215
 
 #: Ceiling on everything the graph owns per state, component tuples and
-#: canonical tables included (measured 400 on CPython 3.11; 516 before
-#: components were hash-consed).
-MAX_TOTAL_BYTES_PER_STATE = 430
+#: canonical tables included (measured 288 on CPython 3.11; 400 with
+#: tuple rows, 516 before components were hash-consed).
+MAX_TOTAL_BYTES_PER_STATE = 317
 
 #: Distinct ``locs``, ``frames``, ``chans`` and ``globals_`` values.
 DISTINCT_COMPONENTS = (17_356, 1_563, 19, 9)
@@ -63,14 +71,12 @@ def _graph_bytes(graph: StateGraph) -> int:
         add(sid)
     for state in store._states:
         add(state)
-    for rows in (cache.labels, cache.targets):
-        add(rows)
-        for row in rows:
-            if row is not None:
-                add(row)
-    for targets in cache.targets:
-        for sid in targets or ():
-            add(sid)
+    for buffer in (cache.tgt, cache.lbl, cache.start, cache.count):
+        add(buffer)
+    add(cache.labels)
+    add(cache._label_ids)
+    for label in cache.labels:
+        add(label)
     add(cache.violations)
     return total
 
@@ -149,3 +155,18 @@ def test_mixed_writers_store_canonical_components():
             assert table[component] is component
     for k, table in enumerate(tables):
         assert len(table) == DISTINCT_COMPONENTS[k]
+
+
+def test_dropped_graph_is_freed_without_a_collection():
+    # The JIT driver's namespaces (function <-> globals cycles) reference
+    # the memo and the store; dropping the graph must release them by
+    # reference counting, not leave them for the next full collection.
+    gc.disable()
+    try:
+        graph = StateGraph(_system())
+        assert check_safety(graph, max_states=500).ok
+        label = weakref.ref(graph.cache.labels[0])
+        del graph
+        assert label() is None
+    finally:
+        gc.enable()
